@@ -58,6 +58,10 @@ class ChannelSet:
             raise ValueError("ChannelSet requires at least two channels")
         self.channels = channels
         self.smcs = [c.smc for c in channels]
+        #: Why the resident block replay last declined this topology
+        #: (:func:`~repro.dram.kernel.blockrun.run_gated_kernel`); each
+        #: channel's controller records its own per-gate reasons.
+        self.kernel_fallback_reason: str | None = None
 
     # -- request servicing --------------------------------------------------
 

@@ -192,14 +192,17 @@ class EventEngine:
         skipped interval and were issued, at their exact emulated times,
         during the episode.
         """
-        proc = session.processor
+        session.processor.feed(trace)
+        self._run_single(session, session.processor)
+
+    def _run_single(self, session: "Session", proc) -> None:
+        """Drive one already-fed core to completion (see :meth:`run_trace`)."""
         counters = session.system.counters
         smc = session.system.smc
         pending = session._pending
         queue = self.queue
         stats = self.stats
         self._proc_period = session._proc_period
-        proc.feed(trace)
         if proc.in_block_mode:
             # Whole-trace kernel replay (REPRO_KERNEL): the gated loop
             # below, run resident in C with one load/store per trace.
@@ -284,7 +287,15 @@ class EventEngine:
         batch is serviced bank-parallel, and the event queue drains to
         the slowest core's cycle — an event is only "passed" once every
         core's jump is beyond it.
+
+        With one core this *is* :meth:`run_trace` minus the feed — the
+        same resident block replay in the kernel, or the same in-place
+        gate closure when it declines — so a mix's solo baselines run at
+        single-core speed.
         """
+        if len(procs) == 1 and not procs[0].done:
+            self._run_single(session, procs[0])
+            return
         counters = session.system.counters
         smc = session.system.smc
         pending = session._pending

@@ -26,6 +26,14 @@ inside :meth:`select`/:meth:`select_flat`; the controller guarantees the
 select method is called exactly once per serviced request on every serve
 path (the singleton shortcuts that skip selection are disabled for
 them), so object-path and fast-path runs stay bit-identical.
+
+The C serve kernel (:mod:`repro.dram.kernel`) transcribes all five
+registered policies.  Before each kernel call it loads a ranked
+scheduler's state (ATLAS ``attained``, BLISS blacklist and streak,
+batch marks) into int64 slots and stores it back after, so kernel and
+Python batches interleave freely and the objects here stay the state of
+record.  The kernel matches classes exactly: a subclass may override
+any hook, so it always runs here in Python.
 """
 
 from __future__ import annotations

@@ -483,12 +483,12 @@ class SoftwareMemoryController(ProgramExecutor):
         per-command observable behavior it does not model forces the
         fastpath closures.
         """
-        from repro.core.schedulers import FCFS, FRFCFS
+        from repro.dram.kernel.state import scheduler_layout
         if not self._fastpath:
             return "fastpath disabled (REPRO_FASTPATH=0)"
-        if type(self._scheduler) not in (FCFS, FRFCFS):
-            return ("stateful scheduler "
-                    f"({type(self._scheduler).__name__})")
+        layout = scheduler_layout(self._scheduler)
+        if isinstance(layout, str):
+            return layout
         device = self._device
         if device.checker.strict:
             return "strict timing mode"
@@ -517,6 +517,12 @@ class SoftwareMemoryController(ProgramExecutor):
         reason = self._kernel_structural_reason()
         if reason is None:
             backend, reason = resolve_backend()
+            if (backend is not None and self._scheduler.stateful
+                    and backend.run_block is None):
+                # The pure-Python mirror transcribes FCFS/FR-FCFS only.
+                backend, reason = None, ("pure-Python backend (stateful"
+                                         " scheduler needs the compiled"
+                                         " kernel)")
             if backend is not None:
                 from repro.dram.kernel.state import KernelState
                 self._kernel_backend = backend
@@ -562,19 +568,18 @@ class SoftwareMemoryController(ProgramExecutor):
         ks.ensure_requests(n)
         ks.ensure_viol(3 * n + 64)
         ks.ensure_wrhit(n + 16)
-        tag = ks.req_tag
-        addr = ks.req_addr
-        flags = ks.req_flags
-        core = ks.req_core
-        for i, request in enumerate(requests):
-            tag[i] = request.tag
-            addr[i] = request.addr
-            flags[i] = ((FLAG_WRITEBACK if request.is_writeback else 0)
-                        | (FLAG_PREFETCH if request.is_prefetch else 0))
-            core[i] = request.core
+        # Whole-slice stores: one list per column beats n numpy setitems.
+        ks.req_tag[:n] = [request.tag for request in requests]
+        ks.req_addr[:n] = [request.addr for request in requests]
+        ks.req_flags[:n] = [
+            (FLAG_WRITEBACK if request.is_writeback else 0)
+            | (FLAG_PREFETCH if request.is_prefetch else 0)
+            for request in requests]
+        cores = [request.core for request in requests]
+        ks.req_core[:n] = cores
         if len(self._device._rows) != int(ks.st[St.NMAT]):
             ks.refresh_materialized()
-        ks.load()
+        ks.load(ncores=max(cores) + 1)
         ks.st[St.N_REQ] = n
         before_refresh = self._next_refresh_ps
         err = self._kernel_run_batch(ks)
@@ -589,11 +594,11 @@ class SoftwareMemoryController(ProgramExecutor):
             # partial state (stats, charges) already written back.
             self._mapper._check_range(int(ks.st[St.ERR_ADDR]))
             raise AssertionError("decode error did not reproduce")
-        release = ks.req_release
-        service = ks.req_service
-        for i, request in enumerate(requests):
-            request.release = int(release[i])
-            request.service_ps = int(service[i])
+        for request, release, service in zip(
+                requests, ks.req_release[:n].tolist(),
+                ks.req_service[:n].tolist()):
+            request.release = release
+            request.service_ps = service
         return True
 
     def _kernel_run_batch(self, ks) -> int:

@@ -13,15 +13,15 @@ executable spec and the ``REPRO_KERNEL=py`` backend.
 ``REPRO_KERNEL``
     ``0``/``false``/``off`` disables the kernel entirely (the fastpath
     closures serve every batch).  ``py`` forces the pure-Python mirror
-    (batch entry only — useful for differential debugging; slower than
-    the closures).  ``c`` requires the compiled backend and disengages
-    with a recorded reason when it cannot load.  Default (``auto``):
-    use the compiled backend when a C compiler is available, otherwise
-    disengage — results are bit-identical either way, which the
-    equivalence suites enforce.
+    (batch entry and FCFS/FR-FCFS only — useful for differential
+    debugging; slower than the closures).  ``c`` requires the compiled
+    backend and disengages with a recorded reason when it cannot load.
+    Default (``auto``): use the compiled backend when a C compiler is
+    available, otherwise disengage — results are bit-identical either
+    way, which the equivalence suites enforce.
 
 Resolution happens per *call site* via :func:`resolve_backend`; the
-serve path records why the kernel disengaged (stateful scheduler,
+serve path records why the kernel disengaged (custom scheduler,
 technique episode, backend unavailable, ...) so ``repro profile`` can
 report it.
 """

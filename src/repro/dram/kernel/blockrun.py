@@ -4,22 +4,32 @@ The batch entry point (:meth:`~repro.core.smc.SMC.service_pending_kernel`)
 still marshals the controller state across the FFI boundary once per
 gate; on dependent-load streams the gates are singleton batches and the
 marshalling dominates.  This driver removes it: for an eligible
-single-core block trace the *entire* replay — the
+single-core block trace — ``run_trace``, or ``run_cores`` with one core,
+on one channel or on a :class:`~repro.core.channels.ChannelSet` — the
+*entire* replay runs resident in C: the
 ``Processor._execute_burst_blocks`` loop, the engine's gate closure, the
-critical-mode episodes, refresh interleave, and the event-queue
-bookkeeping — runs resident in C.  Python is re-entered once per
-:class:`~repro.cpu.blocks.AccessBlock` (thousands of accesses) only to
-run the cache model and to flush logs, and the controller objects are
-loaded/stored exactly once per trace.
+channel routing, every channel's critical-mode episodes with their
+scheduler state, refresh interleave, and the event-queue bookkeeping.
+Python is re-entered once per :class:`~repro.cpu.blocks.AccessBlock`
+(thousands of accesses) only to run the cache model and to flush logs,
+and the controller objects are loaded/stored exactly once per trace.
 
-Eligibility is the batch kernel's structural gate plus the block-replay
-extras (compiled backend, no prefetcher/channel hook, clean MLP window);
-any miss records ``smc.kernel_fallback_reason`` and the caller falls
-back to the Python gate closure — bit-identical either way.
+On a multi-channel topology each channel keeps its own controller table;
+channel 0's :class:`~repro.dram.kernel.state.KernelState` doubles as the
+trace context that owns the shared state (processor counters, pending
+and MLP-window buffers, event heap, cache, time-scaling counters).
+
+Eligibility is the batch kernel's structural gate on every channel plus
+the block-replay extras (compiled backend, no prefetcher, the mapper's
+own channel hook, clean MLP window, one scheduler object per channel);
+any miss records ``smc.kernel_fallback_reason`` (the façade's own on a
+``ChannelSet``) and the caller falls back to the Python gate closure —
+bit-identical either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 
 import numpy as np
@@ -27,7 +37,7 @@ import numpy as np
 from repro.core.events import EventKind
 from repro.dram.kernel.state import (
     KERN_OK, KERR_DEADLOCK, KERR_DECODE_RANGE, Cfg, St,
-    TBL_STRIDE, VIOL_STRIDE, WRHIT_STRIDE,
+    TBL_STRIDE, VIOL_STRIDE, WRHIT_STRIDE, scratch,
 )
 
 #: Event-heap headroom (entries) per block on top of the worst-case
@@ -43,7 +53,7 @@ def _grow_keep(arr, need: int):
     """``arr`` grown to at least ``need`` slots, contents preserved."""
     if arr.shape[0] >= need:
         return arr
-    new = _arr(max(64, 2 * need))
+    new = scratch(max(64, 2 * need))
     new[:arr.shape[0]] = arr
     return new
 
@@ -126,22 +136,29 @@ def _store_cache(ks, hier) -> None:
     l2.stats.writebacks = int(st[St.C2_WB])
 
 
-def _eligible(proc, smc) -> str | None:
+def _eligible(proc, smcs: list) -> str | None:
     """Why this trace cannot replay in the kernel, or ``None``."""
-    if not hasattr(smc, "_kernel_resolve"):
-        return "multi-channel topology"
-    ks = smc._kernel_state if smc._kernel_resolved else smc._kernel_resolve()
-    if ks is None:
-        return smc.kernel_fallback_reason
-    if getattr(smc._kernel_backend, "run_block", None) is None:
-        return "pure-Python backend (block replay needs the compiled kernel)"
-    if smc.serve_hook is not None:
-        return "technique episode (serve hook)"
-    if smc.tile.has_requests or len(smc.api.program):
-        return "staged tile state pending"
+    schedulers = [ctl._scheduler for ctl in smcs]
+    if (len({id(s) for s in schedulers}) < len(smcs)
+            and any(s.stateful for s in schedulers)):
+        return "stateful scheduler shared across channels"
+    for ctl in smcs:
+        ks = ctl._kernel_state if ctl._kernel_resolved \
+            else ctl._kernel_resolve()
+        if ks is None:
+            return ctl.kernel_fallback_reason
+        if getattr(ctl._kernel_backend, "run_block", None) is None:
+            return ("pure-Python backend (block replay needs the compiled"
+                    " kernel)")
+        if ctl.serve_hook is not None:
+            return "technique episode (serve hook)"
+        if ctl.tile.has_requests or len(ctl.api.program):
+            return "staged tile state pending"
     if proc.prefetcher is not None:
         return "stream prefetcher installed"
-    if proc.channel_hook is not None:
+    hook = proc.channel_hook
+    if hook is not None and (len(smcs) == 1
+                             or hook != smcs[0]._mapper.channel_of):
         return "multi-channel request routing"
     if proc.outstanding:
         return "MLP window not drained at trace start"
@@ -151,36 +168,48 @@ def _eligible(proc, smc) -> str | None:
 def run_gated_kernel(engine, session, proc, smc) -> bool:
     """Replay ``proc``'s fed block trace to completion in the kernel.
 
+    ``smc`` is the session's controller: one
+    :class:`~repro.core.smc.SoftwareMemoryController` or the
+    multi-channel :class:`~repro.core.channels.ChannelSet` façade.
     Returns ``False`` (nothing touched, reason recorded) when
     ineligible; the caller then runs the Python gate closure.  On
     ``True`` the processor is done and every side effect of the Python
     path — controller state, stats, event queue, request latencies —
     has been applied.
     """
-    reason = _eligible(proc, smc)
+    smcs = getattr(smc, "smcs", None) or [smc]   # per-channel controllers
+    reason = _eligible(proc, smcs)
     if reason is not None:
-        if hasattr(smc, "kernel_fallback_reason"):
-            smc.kernel_fallback_reason = reason
+        smc.kernel_fallback_reason = reason
         return False
-    ks = smc._kernel_state
-    backend = smc._kernel_backend
+    states = [ctl._kernel_state for ctl in smcs]
+    nch = len(states)
+    ks = states[0]             # the trace context
+    backend = smcs[0]._kernel_backend
     st = ks.st
     cfg = ks.cfg
     mlp = int(cfg[Cfg.MLP])
 
-    if len(smc._device._rows) != int(st[St.NMAT]):
-        ks.refresh_materialized()
-    ks.load()
+    for index, (ctl, state) in enumerate(zip(smcs, states)):
+        if len(ctl._device._rows) != int(state.st[St.NMAT]):
+            state.refresh_materialized()
+        state.load(counters=index == 0)
+    st[St.NCH] = nch
+    if nch > 1 and ks.chan_tables.shape[0] != nch:
+        ks.chan_tables = _arr(nch)
+        ks._ptr_table = None
 
     # -- trace-level slots the marshaller does not own -----------------------
     if ks.out_tag.shape[0] < mlp + 2:
         for name in ("out_tag", "out_issue", "out_release", "out_rid"):
-            setattr(ks, name, _arr(mlp + 2))
+            setattr(ks, name, scratch(mlp + 2))
         ks._ptr_table = None
+    # Every channel's refresh deadlines push onto the one event heap.
+    slack = nch * _HEAP_SLACK
     queue = engine.queue
     heap_len = len(queue._heap)
-    if ks.heap.shape[0] < 4 * (heap_len + _HEAP_SLACK):
-        ks.heap = _arr(4 * (heap_len + 2 * _HEAP_SLACK))
+    if ks.heap.shape[0] < 4 * (heap_len + slack):
+        ks.heap = scratch(4 * (heap_len + 2 * slack))
         ks._ptr_table = None
     heap = ks.heap
     for i, (time, seq, kind, payload) in enumerate(queue._heap):
@@ -225,11 +254,12 @@ def run_gated_kernel(engine, session, proc, smc) -> bool:
     from repro.cpu.cache import CacheHierarchy
     has_cache = type(proc.hierarchy) is CacheHierarchy
     blocks = proc._blocks
-    if has_cache and smc._mapper.strict:
+    mapper = smcs[0]._mapper
+    if has_cache and mapper.strict:
         if not isinstance(blocks, (list, tuple)):
             blocks = list(blocks)   # the feed hands over a generator
             proc._blocks = blocks
-        total = smc._mapper._total_bytes
+        total = mapper._total_bytes
         for block in blocks:
             if block.addr and not 0 <= min(block.addr) <= max(
                     block.addr) < total:
@@ -249,10 +279,11 @@ def run_gated_kernel(engine, session, proc, smc) -> bool:
         if count:
             latencies.extend(ks.latencies[:count].tolist())
             st[St.LAT_COUNT] = 0
-        if int(st[St.VIOL_COUNT]):
-            ks.scatter_violations()
-        if int(st[St.WRHIT_COUNT]):
-            ks.apply_wr_hits()
+        for state in states:
+            if int(state.st[St.VIOL_COUNT]):
+                state.scatter_violations()
+            if int(state.st[St.WRHIT_COUNT]):
+                state.apply_wr_hits()
 
     err = KERN_OK
     for block in blocks:
@@ -262,13 +293,13 @@ def run_gated_kernel(engine, session, proc, smc) -> bool:
         if has_cache:
             ks.blk_addr = np.asarray(block.addr, dtype=np.int64)
             if ks.blk_lat.shape[0] < n:
-                ks.blk_lat = _arr(n)
-                ks.blk_fill = _arr(n)
+                ks.blk_lat = scratch(n)
+                ks.blk_fill = scratch(n)
             # Worst case two writebacks per access (demand L2 eviction
             # plus the dirty-L1-victim fold's own eviction).
             if ks.blk_wbidx.shape[0] < 2 * n + 2:
-                ks.blk_wbidx = _arr(2 * n + 2)
-                ks.blk_wbaddr = _arr(2 * n + 2)
+                ks.blk_wbidx = scratch(2 * n + 2)
+                ks.blk_wbaddr = scratch(2 * n + 2)
             nwb = 2 * n + 2
         else:
             traffic = access_block(block.addr, block.flags)
@@ -289,24 +320,31 @@ def run_gated_kernel(engine, session, proc, smc) -> bool:
         created = carried + n + nwb
         if ks.pend_tag.shape[0] < created + 8:
             for name in ("pend_tag", "pend_addr", "pend_flags", "pend_rid",
-                         "pend_release"):
+                         "pend_release", "pend_chan"):
                 setattr(ks, name, _grow_keep(getattr(ks, name), created + 8))
             ks._ptr_table = None
         pend_cap = ks.pend_tag.shape[0]
-        ks.ensure_table(pend_cap)
-        ks.ensure_viol(3 * (created + mlp) + 256)
-        ks.ensure_wrhit(created + mlp + 64)
+        for index, state in enumerate(states):
+            if nch > 1:        # the routed slices land in req_* per channel
+                state.ensure_requests(pend_cap)
+            state.ensure_table(pend_cap)
+            state.ensure_viol(3 * (created + mlp) + 256)
+            state.ensure_wrhit(created + mlp + 64)
+            sst = state.st
+            sst[St.TBL_CAP] = state.tbl.shape[0] // TBL_STRIDE
+            sst[St.VIOL_CAP] = state.viol.shape[0] // VIOL_STRIDE
+            sst[St.WRHIT_CAP] = state.wrhit.shape[0] // WRHIT_STRIDE
+            if index:
+                ks.chan_tables[index] = ctypes.addressof(
+                    state.pointer_table())
         if ks.latencies.shape[0] < n + mlp + 8:
-            ks.latencies = _arr(2 * (n + mlp + 8))
+            ks.latencies = scratch(2 * (n + mlp + 8))
             ks._ptr_table = None
-        heap_need = 4 * (int(st[St.HEAP_LEN]) + created + _HEAP_SLACK)
+        heap_need = 4 * (int(st[St.HEAP_LEN]) + created + slack)
         if ks.heap.shape[0] < heap_need:
             ks.heap = _grow_keep(ks.heap, heap_need)
             ks._ptr_table = None
         st[St.PEND_CAP] = pend_cap
-        st[St.TBL_CAP] = ks.tbl.shape[0] // TBL_STRIDE
-        st[St.VIOL_CAP] = ks.viol.shape[0] // VIOL_STRIDE
-        st[St.WRHIT_CAP] = ks.wrhit.shape[0] // WRHIT_STRIDE
         st[St.LAT_CAP] = ks.latencies.shape[0]
         st[St.HEAP_CAP] = ks.heap.shape[0] // 4
         st[St.BLK_N] = n
@@ -322,7 +360,8 @@ def run_gated_kernel(engine, session, proc, smc) -> bool:
         flush_logs()
 
     # -- write everything back (best effort even on error) -------------------
-    ks.store()
+    for index, state in enumerate(states):
+        state.store(counters=index == 0)
     if has_cache:
         _store_cache(ks, proc.hierarchy)
     estats = engine.stats
@@ -352,13 +391,15 @@ def run_gated_kernel(engine, session, proc, smc) -> bool:
     proc._pos = int(st[St.POS])
     proc._wb_ptr = int(st[St.WB_PTR])
     proc.outstanding.clear()
+    for state in states:
+        state.release_trace_buffers()
 
     if err == KERR_DEADLOCK:
         from repro.core.engine import EmulationDeadlock
         raise EmulationDeadlock(
             "processor blocked with no pending memory requests")
     if err == KERR_DECODE_RANGE:
-        smc._mapper._check_range(int(st[St.ERR_ADDR]))
+        mapper._check_range(int(st[St.ERR_ADDR]))
         raise AssertionError("decode error did not reproduce")
     if err != KERN_OK:
         raise RuntimeError(f"block kernel failed with error {err}")

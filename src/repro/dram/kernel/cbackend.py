@@ -7,9 +7,17 @@ compiled backend is plain C: :func:`load` renders the layout
 into a source-hash-keyed cache under ``_cache/`` (gitignored).  A warm
 cache makes load a single ``dlopen``.
 
-Everything degrades gracefully: no compiler, a failed compile, or a
-stale ABI all surface as ``(None, reason)`` so the caller can fall back
-to the pure-Python mirror or disengage the kernel entirely.
+Concurrent cold loads (``repro run --jobs N``, CI shards, serve workers
+on a fresh checkout) are safe: the build holds an exclusive ``flock`` on
+a per-key lock file, compiles to per-process temporary names, and
+``os.replace``-s the finished files into place, so no process can ever
+``dlopen`` a half-written object.
+
+Everything degrades: no compiler, a failed compile, or a stale ABI all
+surface as ``(None, reason)`` so the caller can fall back to the flat
+Python path.  A compiler that exists but whose build does not load is a
+broken installation, not a configuration, so that case also warns with
+its reason: a silent fallback would only show up as a run 10-40x slower.
 """
 
 from __future__ import annotations
@@ -19,14 +27,20 @@ import hashlib
 import os
 import subprocess
 import time
+import warnings
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts build unlocked
+    fcntl = None
 
 from repro.dram.kernel import state
 
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"
@@ -100,6 +114,43 @@ def load() -> tuple[CKernel | None, str]:
     return kernel, reason
 
 
+def _build(cmd: list[str], source: str, c_path: Path,
+           so_path: Path) -> str | None:
+    """Compile ``source`` into ``so_path`` unless another process did.
+
+    Returns ``None`` on success, else the failure reason.  Holds the
+    key's lock file for the whole build and publishes both files with
+    ``os.replace``, so a concurrent loader sees no object or a whole one.
+    """
+    _CACHE_DIR.mkdir(parents=True, exist_ok=True)
+    # The compiler picks the language by extension: keep it last.
+    tmp = f".{os.getpid()}.tmp"
+    tmp_c = c_path.with_name(c_path.stem + tmp + c_path.suffix)
+    tmp_so = so_path.with_name(so_path.stem + tmp + so_path.suffix)
+    with open(so_path.with_suffix(".lock"), "a") as lock:
+        if fcntl is not None:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+        try:
+            if so_path.exists():   # built while this process waited
+                return None
+            tmp_c.write_text(source)
+            proc = subprocess.run(
+                cmd + ["-O2", "-shared", "-fPIC", "-o", str(tmp_so),
+                       str(tmp_c)],
+                capture_output=True, text=True, timeout=300)
+            if proc.returncode != 0:
+                tail = (proc.stderr or "").strip().splitlines()[-3:]
+                return "kernel compile failed: " + " | ".join(tail)
+            os.replace(tmp_c, c_path)
+            os.replace(tmp_so, so_path)
+            return None
+        finally:
+            for tmp in (tmp_c, tmp_so):
+                tmp.unlink(missing_ok=True)
+            if fcntl is not None:
+                fcntl.flock(lock, fcntl.LOCK_UN)
+
+
 def _load_uncached() -> tuple[CKernel | None, str]:
     try:
         source = _render_source()
@@ -115,20 +166,14 @@ def _load_uncached() -> tuple[CKernel | None, str]:
     if not so_path.exists():
         if cmd is None:
             return None, "no C compiler available (cc/gcc/clang)"
-        c_path = _CACHE_DIR / f"kernel-{key}.c"
         begin = time.perf_counter()
         try:
-            _CACHE_DIR.mkdir(parents=True, exist_ok=True)
-            c_path.write_text(source)
-            proc = subprocess.run(
-                cmd + ["-O2", "-shared", "-fPIC", "-o", str(so_path),
-                       str(c_path)],
-                capture_output=True, text=True, timeout=300)
+            failure = _build(cmd, source, _CACHE_DIR / f"kernel-{key}.c",
+                             so_path)
         except (OSError, subprocess.SubprocessError) as exc:
-            return None, f"kernel compile failed: {exc}"
-        if proc.returncode != 0:
-            tail = (proc.stderr or "").strip().splitlines()[-3:]
-            return None, "kernel compile failed: " + " | ".join(tail)
+            failure = f"kernel compile failed: {exc}"
+        if failure is not None:
+            return _loud(failure)
         build_seconds = time.perf_counter() - begin
         built = True
     try:
@@ -138,9 +183,10 @@ def _load_uncached() -> tuple[CKernel | None, str]:
         fn.argtypes = []
         got = int(fn())
     except (OSError, AttributeError) as exc:
-        return None, f"kernel load failed: {exc}"
+        return _loud(f"kernel load failed: {exc}")
     if got != ABI_VERSION:
-        return None, f"kernel ABI mismatch (built {got}, want {ABI_VERSION})"
+        return _loud(
+            f"kernel ABI mismatch (built {got}, want {ABI_VERSION})")
     info = {
         "backend": "c",
         "compiler": version,
@@ -149,6 +195,13 @@ def _load_uncached() -> tuple[CKernel | None, str]:
         "cache_path": str(so_path),
     }
     return CKernel(lib, info), "ok"
+
+
+def _loud(reason: str) -> tuple[None, str]:
+    """A failed build or load: warn with the reason, then fall back."""
+    warnings.warn(f"C serve kernel unavailable, serving on the flat Python"
+                  f" path: {reason}", RuntimeWarning, stacklevel=4)
+    return None, reason
 
 
 def reset_for_tests() -> None:

@@ -16,6 +16,13 @@
  *                         plus the EventEngine block-mode gate closure).
  *   repro_finish_trace -- the end-of-trace drain + final done-gate.
  *
+ * Controller state lives in one slot table per channel.  The trace-level
+ * state a resident replay owns -- processor counters, the pending and
+ * MLP-window buffers, the event heap, the cache, and the time-scaling
+ * counters every channel shares -- lives in the trace context, channel
+ * 0's table: T(f) reads it, S(f) the channel's own slots.  With one
+ * channel (and in repro_serve_batch) both name the same array.
+ *
  * Every formula below is a transcription of the Python fast path; the
  * comments name the source (smc.py / device.py / flat_timing.py /
  * timing_checker.py / processor.py / engine.py).  Divisions only ever
@@ -27,6 +34,7 @@
 
 #define C(f) ((int64_t)k->cfg[CFG_##f])
 #define S(f) k->st[ST_##f]
+#define T(f) k->sh[ST_##f]
 
 /* Constraint codes, in CONSTRAINT_NAMES order (state.py). */
 #define CODE_POWER_ON 0
@@ -63,6 +71,7 @@
 typedef struct {
     const int64_t *cfg;
     int64_t *st;
+    int64_t *sh;               /* the trace context's st (see T above) */
     int64_t *last_act, *last_pre, *last_read, *last_write, *last_write_end;
     int64_t *open_row, *prev_open_row, *act_count;
     const int64_t *group_of;
@@ -72,23 +81,28 @@ typedef struct {
     int64_t *viol;
     const int64_t *mat_keys;
     int64_t *wrhit;
-    const int64_t *req_tag, *req_addr, *req_flags, *req_core;
+    int64_t *req_tag, *req_addr, *req_flags;
+    const int64_t *req_core;
     int64_t *req_release, *req_service, *tracker;
     int64_t *tbl;
     const int64_t *blk_flags, *blk_gap, *blk_addr;
     int64_t *blk_lat, *blk_fill;
     int64_t *blk_wbidx, *blk_wbaddr;
     int64_t *pend_tag, *pend_addr, *pend_flags, *pend_rid, *pend_release;
+    int64_t *pend_chan;
     int64_t *out_tag, *out_issue, *out_release, *out_rid;
     int64_t *heap, *latencies;
     int64_t *c1_tags, *c1_dirty, *c1_stamps, *c1_count, *c1_mru;
     int64_t *c2_tags, *c2_dirty, *c2_stamps, *c2_count, *c2_mru;
+    int64_t *sched_core, *sched_present, *sched_scratch;
+    const int64_t *chan_tables;
 } K;
 
 static void bind(K *k, int64_t **p)
 {
     k->cfg = p[P_CFG];
     k->st = p[P_ST];
+    k->sh = k->st;
     k->last_act = p[P_LAST_ACT];
     k->last_pre = p[P_LAST_PRE];
     k->last_read = p[P_LAST_READ];
@@ -130,6 +144,7 @@ static void bind(K *k, int64_t **p)
     k->pend_flags = p[P_PEND_FLAGS];
     k->pend_rid = p[P_PEND_RID];
     k->pend_release = p[P_PEND_RELEASE];
+    k->pend_chan = p[P_PEND_CHAN];
     k->out_tag = p[P_OUT_TAG];
     k->out_issue = p[P_OUT_ISSUE];
     k->out_release = p[P_OUT_RELEASE];
@@ -147,26 +162,68 @@ static void bind(K *k, int64_t **p)
     k->c2_stamps = p[P_C2_STAMPS];
     k->c2_count = p[P_C2_COUNT];
     k->c2_mru = p[P_C2_MRU];
+    k->sched_core = p[P_SCHED_CORE];
+    k->sched_present = p[P_SCHED_PRESENT];
+    k->sched_scratch = p[P_SCHED_SCRATCH];
+    k->chan_tables = p[P_CHAN_TABLES];
 }
 
 /* -- address decode (AddressMapper.to_dram, address.py) ------------------- */
 
-static int64_t decode_addr(K *k, int64_t addr, int64_t *bank_out,
-                           int64_t *row_out, int64_t *col_out)
+/* _check_range: the global line index of a byte address, or an error. */
+static int64_t line_of(K *k, int64_t addr, int64_t *line_out)
 {
     int64_t total = C(TOTAL_BYTES);
     if (addr < 0) {            /* _check_range raises for any negative */
-        S(ERR_ADDR) = addr;
+        T(ERR_ADDR) = addr;
         return KERR_DECODE_RANGE;
     }
     if (addr >= total) {
         if (C(STRICT_DECODE)) {
-            S(ERR_ADDR) = addr;
+            T(ERR_ADDR) = addr;
             return KERR_DECODE_RANGE;
         }
         addr %= total;         /* permissive wrap */
     }
-    int64_t line = addr / C(LINE_BYTES);
+    *line_out = addr / C(LINE_BYTES);
+    return KERN_OK;
+}
+
+/* AddressMapper.channel_of: the channel half of _split_channel. */
+static int64_t channel_of(K *k, int64_t addr, int64_t *ch_out)
+{
+    int64_t line;
+    int64_t err = line_of(k, addr, &line);
+    if (err)
+        return err;
+    int64_t channels = C(CHANNELS);
+    int64_t mode = C(CH_MODE);
+    int64_t ch;
+    if (channels == 1) {
+        ch = 0;
+    } else if (mode == 0) {                    /* slab */
+        ch = line / C(LINES_PER_CHANNEL);
+    } else if (mode == 1) {                    /* channel-line */
+        ch = line % channels;
+    } else if (mode == 2) {                    /* channel-row */
+        ch = (line / C(COLUMNS)) % channels;
+    } else {                                   /* channel-xor */
+        int64_t base = line / channels, slot = line % channels;
+        int64_t h = base ^ (base >> 3) ^ (base >> 7);
+        ch = C(CH_POW2) ? (slot ^ (h & (channels - 1)))
+                        : (slot + h) % channels;
+    }
+    *ch_out = ch;
+    return KERN_OK;
+}
+
+static int64_t decode_addr(K *k, int64_t addr, int64_t *bank_out,
+                           int64_t *row_out, int64_t *col_out)
+{
+    int64_t line;
+    int64_t err = line_of(k, addr, &line);
+    if (err)
+        return err;
     int64_t channels = C(CHANNELS);
     if (channels > 1) {
         /* _split_channel: keep the within-channel line only. */
@@ -516,12 +573,12 @@ static int64_t issue_col_k(K *k, int64_t kind, int64_t bank, int64_t col,
 
 static int64_t heap_push(K *k, int64_t time, int64_t kind, int64_t payload)
 {
-    int64_t len = S(HEAP_LEN);
-    if (len >= S(HEAP_CAP))
+    int64_t len = T(HEAP_LEN);
+    if (len >= T(HEAP_CAP))
         return KERR_HEAP_OVERFLOW;
     int64_t *h = k->heap;
-    int64_t seq = S(QSEQ);
-    S(QSEQ) = seq + 1;
+    int64_t seq = T(QSEQ);
+    T(QSEQ) = seq + 1;
     int64_t i = len;
     while (i > 0) {
         int64_t parent = (i - 1) / 2;
@@ -537,7 +594,7 @@ static int64_t heap_push(K *k, int64_t time, int64_t kind, int64_t payload)
     e[1] = seq;
     e[2] = kind;
     e[3] = payload;
-    S(HEAP_LEN) = len + 1;
+    T(HEAP_LEN) = len + 1;
     return KERN_OK;
 }
 
@@ -646,7 +703,7 @@ static int64_t refresh_episode(K *k, int block_mode)
         }
         if (block_mode) {
             /* EventEngine._note_refresh, inlined. */
-            S(E_REFRESHES) += 1;
+            T(E_REFRESHES) += 1;
             if (C(PROC_PERIOD)) {
                 int64_t err = heap_push(k, S(NEXT_REFRESH) / C(PROC_PERIOD),
                                         EV_REFRESH, 0);
@@ -772,6 +829,102 @@ static int64_t serve_one(K *k, int64_t bank, int64_t row, int64_t col,
     return KERN_OK;
 }
 
+/* -- ranked schedulers (schedulers.py _RankedScheduler.select_flat) -------
+ *
+ * The priority group first -- ATLAS: the core's attained service; BLISS:
+ * 1 if the core is blacklisted; batch: 0 if the entry is marked -- then
+ * FR-FCFS order within the group: reads before writebacks, row hits
+ * before misses, then age.  The ranking state changes exactly where the
+ * Python hooks change it: _before_select before every pick (also when
+ * the age cap picks), _note_serve once per serve, singletons included.
+ */
+
+static int64_t sched_group(K *k, const int64_t *ent)
+{
+    if (C(SCHED_KIND) == SCHED_BATCH)
+        return ent[7] ? 0 : 1;
+    return k->sched_core[ent[6]];
+}
+
+/* BatchScheduler._before_select: with no live mark, mark the oldest
+ * batch_cap entries of every core (the table is in arrival order). */
+static void batch_mark(K *k, int64_t tcount)
+{
+    int64_t *count = k->sched_scratch;
+    memset(count, 0, (size_t)S(SCHED_NCORES) * sizeof(int64_t));
+    for (int64_t j = 0; j < tcount; j++) {
+        int64_t *ent = k->tbl + TBL_STRIDE * j;
+        if (count[ent[6]] < C(SCHED_PARAM)) {
+            count[ent[6]] += 1;
+            ent[7] = 1;
+            S(SCHED_MARKED) += 1;
+        }
+    }
+}
+
+static void note_serve(K *k, int64_t *ent, int hit)
+{
+    int64_t kind = C(SCHED_KIND), core = ent[6];
+    int64_t *v = k->sched_core;
+    if (kind == SCHED_ATLAS) {
+        v[core] += hit ? 1 : 2;
+        k->sched_present[core] = 1;
+        S(SCHED_SERVES) += 1;
+        if (S(SCHED_SERVES) >= C(SCHED_PARAM)) {   /* quantum: halve */
+            S(SCHED_SERVES) = 0;
+            for (int64_t c = 0; c < S(SCHED_NCORES); c++)
+                v[c] >>= 1;
+        }
+    } else if (kind == SCHED_BLISS) {
+        if (core == S(SCHED_LAST_CORE)) {
+            S(SCHED_STREAK) += 1;
+        } else {
+            S(SCHED_LAST_CORE) = core;
+            S(SCHED_STREAK) = 1;
+        }
+        if (S(SCHED_STREAK) >= C(SCHED_PARAM))
+            v[core] = 1;                           /* blacklist */
+        S(SCHED_SERVES) += 1;
+        if (S(SCHED_SERVES) >= C(SCHED_PARAM2)) {  /* periodic clear */
+            S(SCHED_SERVES) = 0;
+            memset(v, 0, (size_t)S(SCHED_NCORES) * sizeof(int64_t));
+        }
+    } else if (ent[7]) {                           /* batch: unmark */
+        ent[7] = 0;
+        S(SCHED_MARKED) -= 1;
+    }
+}
+
+static int64_t ranked_select(K *k, int64_t tcount)
+{
+    int64_t *tbl = k->tbl;
+    if (C(SCHED_KIND) == SCHED_BATCH && !S(SCHED_MARKED))
+        batch_mark(k, tcount);
+    int64_t pick = -1;
+    int64_t age_cap = C(AGE_CAP);
+    if (age_cap >= 0 && tbl[TBL_STRIDE * (tcount - 1)] - tbl[0] >= age_cap) {
+        pick = 0;
+    } else {
+        int64_t bg = 0, bw = 0, bm = 0, bo = 0;
+        for (int64_t j = 0; j < tcount; j++) {
+            const int64_t *ent = tbl + TBL_STRIDE * j;
+            int64_t g = sched_group(k, ent), w = ent[5], o = ent[0];
+            int64_t m = k->open_row[ent[2]] != ent[3];
+            if (pick < 0 || g < bg || (g == bg && (w < bw || (w == bw
+                    && (m < bm || (m == bm && o < bo)))))) {
+                pick = j;
+                bg = g;
+                bw = w;
+                bm = m;
+                bo = o;
+            }
+        }
+    }
+    int64_t *ent = tbl + TBL_STRIDE * pick;
+    note_serve(k, ent, k->open_row[ent[2]] == ent[3]);
+    return pick;
+}
+
 /* -- one critical-mode episode (smc._make_service_fast) -------------------
  *
  * ``arrivals`` must be sorted by tag (stable).  Covers the n == 1 shape
@@ -787,10 +940,10 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
                        int64_t *service, int block_mode)
 {
     /* counters.enter_critical() */
-    if (!S(CNT_CRITICAL)) {
-        S(CNT_CRITICAL) = 1;
-        S(CNT_CRIT_ENTRIES) += 1;
-        S(CNT_LOCKED_AT) = S(CNT_PROC);
+    if (!T(CNT_CRITICAL)) {
+        T(CNT_CRITICAL) = 1;
+        T(CNT_CRIT_ENTRIES) += 1;
+        T(CNT_LOCKED_AT) = T(CNT_PROC);
     }
     S(CHARGED) += C(TOGGLE);   /* set_scheduling_state(True) */
     S(CRITICAL) = 1;
@@ -801,7 +954,8 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
     S(SCHED_CURSOR) = now;
     int64_t pos = 0, tcount = 0;
     int64_t *tbl = k->tbl;
-    int frfcfs = (int)C(SCHED_FRFCFS);
+    int frfcfs = C(SCHED_KIND) == SCHED_FRFCFS;
+    int ranked = C(SCHED_KIND) >= SCHED_ATLAS;
     while (pos < n || tcount) {
         int64_t cursor = S(SCHED_CURSOR);
         while (pos < n) {
@@ -821,6 +975,8 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
                 ent[3] = row;
                 ent[4] = col;
                 ent[5] = flags[pos] & RF_WRITEBACK;
+                ent[6] = core ? core[pos] : 0;
+                ent[7] = 0;
                 tcount += 1;
                 if (arrival > cursor)
                     cursor = arrival;
@@ -843,9 +999,11 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
         }
         S(CHARGED) += C(DECISION_BASE) + C(DECISION_PER) * tcount;
         /* Scheduler select (schedulers.py select_flat; count == 1 pops
-         * directly on both policies -- same entry either way). */
+         * directly on the stateless policies -- same entry either way). */
         int64_t pick = 0;
-        if (tcount > 1 && frfcfs) {
+        if (ranked) {
+            pick = ranked_select(k, tcount);
+        } else if (tcount > 1 && frfcfs) {
             int64_t *first = tbl;
             int64_t *last = tbl + TBL_STRIDE * (tcount - 1);
             int64_t age_cap = C(AGE_CAP);
@@ -893,13 +1051,13 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
     int64_t point = S(SCHED_CURSOR) > S(DRAM_CURSOR)
         ? S(SCHED_CURSOR) : S(DRAM_CURSOR);
     int64_t cycle = point / pp;
-    if (cycle > S(CNT_MC))
-        S(CNT_MC) = cycle;
+    if (cycle > T(CNT_MC))
+        T(CNT_MC) = cycle;
     /* counters.exit_critical() */
-    S(CNT_CRITICAL) = 0;
-    if (S(CNT_MC) > S(CNT_PROC)) {
-        S(CNT_CATCHUP) += S(CNT_MC) - S(CNT_PROC);
-        S(CNT_PROC) = S(CNT_MC);
+    T(CNT_CRITICAL) = 0;
+    if (T(CNT_MC) > T(CNT_PROC)) {
+        T(CNT_CATCHUP) += T(CNT_MC) - T(CNT_PROC);
+        T(CNT_PROC) = T(CNT_MC);
     }
     return KERN_OK;
 }
@@ -908,11 +1066,50 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
 
 /* -- block-mode gate (EventEngine run_trace block-mode closure) ----------- */
 
-static int64_t gate(K *k, int64_t cycles, int done)
+/* ChannelSet.service_pending_batched: route the batch by channel and let
+ * each channel's controller serve its slice, in channel order; a slice
+ * keeps batch order, so it is still sorted by tag. */
+static int64_t route_episodes(K *ks, int64_t nch, int64_t np)
 {
+    K *k = ks;
+    for (int64_t j = 0; j < np; j++) {
+        int64_t err = channel_of(k, k->pend_addr[j], k->pend_chan + j);
+        if (err)
+            return err;
+    }
+    for (int64_t c = 0; c < nch; c++) {
+        K *kc = ks + c;
+        int64_t m = 0;
+        for (int64_t j = 0; j < np; j++) {
+            if (k->pend_chan[j] != c)
+                continue;
+            kc->req_tag[m] = k->pend_tag[j];
+            kc->req_addr[m] = k->pend_addr[j];
+            kc->req_flags[m] = k->pend_flags[j];
+            m += 1;
+        }
+        if (!m)
+            continue;
+        int64_t err = episode(kc, m, kc->req_tag, kc->req_addr,
+                              kc->req_flags, (const int64_t *)0,
+                              kc->req_release, (int64_t *)0, 1);
+        if (err)
+            return err;
+        m = 0;
+        for (int64_t j = 0; j < np; j++)
+            if (k->pend_chan[j] == c)
+                k->pend_release[j] = kc->req_release[m++];
+    }
+    return KERN_OK;
+}
+
+/* ``ks`` holds every channel, the trace context first. */
+static int64_t gate(K *ks, int64_t nch, int64_t cycles, int done)
+{
+    K *k = ks;
     /* counters.advance_processor(cycles) */
-    if (cycles > S(CNT_PROC))
-        S(CNT_PROC) = cycles;
+    if (cycles > T(CNT_PROC))
+        T(CNT_PROC) = cycles;
     int64_t np = S(PEND_COUNT);
     if (!np) {
         if (done)
@@ -923,9 +1120,9 @@ static int64_t gate(K *k, int64_t cycles, int done)
         S(E_GATES) += 1;
     /* pend requests are created in non-decreasing tag order, so the
      * buffer already matches Python's stable sort-by-tag. */
-    int64_t err = episode(k, np, k->pend_tag, k->pend_addr, k->pend_flags,
-                          (const int64_t *)0, k->pend_release,
-                          (int64_t *)0, 1);
+    int64_t err = nch > 1 ? route_episodes(ks, nch, np)
+        : episode(k, np, k->pend_tag, k->pend_addr, k->pend_flags,
+                  (const int64_t *)0, k->pend_release, (int64_t *)0, 1);
     if (err)
         return err;
     S(E_BATCHED) += 1;
@@ -1156,7 +1353,21 @@ static void filter_block(K *k)
 
 int64_t repro_abi_version(void)
 {
-    return 2;
+    return 3;
+}
+
+/* Bind the trace context from ``p`` and, for a multi-channel replay,
+ * every other channel's controller table (addresses in CHAN_TABLES)
+ * with its trace-level slots aliased to the context's. */
+static void bind_trace(K *ks, int64_t nch, int64_t **p)
+{
+    bind(ks, p);
+    for (int64_t c = 1; c < nch; c++) {
+        K *kc = ks + c;
+        bind(kc, (int64_t **)(intptr_t)ks->chan_tables[c]);
+        kc->sh = ks->st;
+        kc->heap = ks->heap;
+    }
 }
 
 int64_t repro_serve_batch(int64_t **p)
@@ -1172,9 +1383,10 @@ int64_t repro_serve_batch(int64_t **p)
  * engine's gate serviced in place. */
 int64_t repro_run_block(int64_t **p)
 {
-    K kk;
-    K *k = &kk;
-    bind(k, p);
+    int64_t nch = p[P_ST][ST_NCH];
+    K ks[nch];
+    K *k = ks;
+    bind_trace(ks, nch, p);
     if (S(HAS_CACHE))
         filter_block(k);   /* one call per block, so POS/WB_PTR are 0 */
     int64_t n = S(BLK_N), nwb = S(BLK_NWB);
@@ -1202,7 +1414,7 @@ int64_t repro_run_block(int64_t **p)
                 if (blocked) {
                     S(P_CYCLES) = cycles;
                     S(P_STALLS) = stalls;
-                    err = gate(k, cycles, 0);
+                    err = gate(ks, nch, cycles, 0);
                     if (err)
                         break;
                     continue;
@@ -1225,7 +1437,7 @@ int64_t repro_run_block(int64_t **p)
                 if (rel < 0) {
                     S(P_CYCLES) = cycles;
                     S(P_STALLS) = stalls;
-                    err = gate(k, cycles, 0);
+                    err = gate(ks, nch, cycles, 0);
                     if (err)
                         break;
                     continue;
@@ -1302,9 +1514,10 @@ int64_t repro_run_block(int64_t **p)
  * fill has a release), then run the final done-gate. */
 int64_t repro_finish_trace(int64_t **p)
 {
-    K kk;
-    K *k = &kk;
-    bind(k, p);
+    int64_t nch = p[P_ST][ST_NCH];
+    K ks[nch];
+    K *k = ks;
+    bind_trace(ks, nch, p);
     for (;;) {
         int64_t oc = S(OUT_COUNT);
         int blocked = 0;
@@ -1316,7 +1529,7 @@ int64_t repro_finish_trace(int64_t **p)
         }
         if (!blocked)
             break;
-        int64_t err = gate(k, S(P_CYCLES), 0);
+        int64_t err = gate(ks, nch, S(P_CYCLES), 0);
         if (err)
             return err;
     }
@@ -1336,5 +1549,5 @@ int64_t repro_finish_trace(int64_t **p)
     S(P_CYCLES) = cycles;
     S(P_STALLS) = stalls;
     S(DONE) = 1;
-    return gate(k, cycles, 1);
+    return gate(ks, nch, cycles, 1);
 }

@@ -21,6 +21,7 @@ from repro.dram.kernel.state import (
     KERR_DECODE_RANGE,
     KERR_FAW_OVERFLOW,
     KERR_VIOL_OVERFLOW,
+    SCHED_FRFCFS,
     Cfg,
     St,
     TBL_STRIDE,
@@ -68,7 +69,7 @@ class _Ctx:
         self.viol = ks.viol
         self.mat_keys = ks.mat_keys
         self.wrhit = ks.wrhit
-        self.tracker = ks.tracker_out
+        self.tracker = ks.tracker
         self.tbl = ks.tbl
 
     def flush(self) -> None:
@@ -508,7 +509,7 @@ def serve_batch(ks) -> int:
     pos = 0
     tcount = 0
     tbl = k.tbl
-    frfcfs = cfg[Cfg.SCHED_FRFCFS]
+    frfcfs = cfg[Cfg.SCHED_KIND] == SCHED_FRFCFS
     while pos < n or tcount:
         cursor = st[St.SCHED_CURSOR]
         while pos < n:
@@ -523,7 +524,7 @@ def serve_batch(ks) -> int:
                 base = TBL_STRIDE * tcount
                 tbl[base:base + TBL_STRIDE] = (
                     st[St.ARRIVAL_COUNTER], pos, bank, row, col,
-                    int(flags[pos]) & FLAG_WRITEBACK)
+                    int(flags[pos]) & FLAG_WRITEBACK, 0, 0)
                 st[St.ARRIVAL_COUNTER] += 1
                 tcount += 1
                 if arrival > cursor:

@@ -41,8 +41,10 @@ CFG_FIELDS = (
     "OCCUPANCY", "PIPELINED",
     # cost model (controller cycles)
     "TRANSFER_CHARGE", "TOGGLE", "DECISION_BASE", "DECISION_PER",
-    # scheduler: 0 = FCFS, 1 = FR-FCFS; AGE_CAP < 0 = uncapped
-    "SCHED_FRFCFS", "AGE_CAP",
+    # scheduler: SCHED_KIND is one of the SCHED_* codes below, SCHED_PARAM
+    # its policy knob (ATLAS quantum, BLISS threshold, batch cap),
+    # SCHED_PARAM2 the BLISS clear interval; AGE_CAP < 0 = uncapped
+    "SCHED_KIND", "SCHED_PARAM", "SCHED_PARAM2", "AGE_CAP",
     # refresh cadence
     "REFRESH_ENABLED", "REFRESH_INTERVAL", "STORM_FACTOR",
     "REF_CYCLES", "REF_OFFSET", "REF_MEASURED",
@@ -64,6 +66,9 @@ CFG_FIELDS = (
 #: Channel-interleave codes for ``CFG.CH_MODE`` (see AddressMapper).
 CH_SLAB, CH_LINE, CH_ROW, CH_XOR = 0, 1, 2, 3
 
+#: Scheduler codes for ``CFG.SCHED_KIND``; the last three rank by group.
+SCHED_FCFS, SCHED_FRFCFS, SCHED_ATLAS, SCHED_BLISS, SCHED_BATCH = range(5)
+
 #: Mutable scalar slots (``st[]``), loaded/stored around every call.
 ST_FIELDS = (
     # call arguments and buffer cursors
@@ -72,6 +77,13 @@ ST_FIELDS = (
     "VIOL_COUNT", "VIOL_CAP", "LAT_COUNT",
     "WRHIT_COUNT", "WRHIT_CAP", "NMAT", "FAW_HEAD", "FAW_LEN", "NEXT_RID",
     "TBL_CAP",
+    # channel count of a resident replay (trace context only)
+    "NCH",
+    # ranked-scheduler state: ATLAS serves in quantum / BLISS serves since
+    # the clear, BLISS last core (-1 = none) and streak, batch live marked
+    # entries, and the length of the per-core SCHED_CORE/PRESENT arrays
+    "SCHED_SERVES", "SCHED_LAST_CORE", "SCHED_STREAK", "SCHED_MARKED",
+    "SCHED_NCORES",
     # controller cursors (SoftwareMemoryController)
     "SCHED_CURSOR", "DRAM_CURSOR", "EXEC_ANCHOR", "NEXT_REFRESH",
     "REFRESH_INDEX", "ARRIVAL_COUNTER", "CHARGED", "CRITICAL",
@@ -124,8 +136,9 @@ PTR_FIELDS = (
     # block replay inputs (run_block entry)
     "BLK_FLAGS", "BLK_GAP", "BLK_LAT", "BLK_FILL",
     "BLK_WBIDX", "BLK_WBADDR",
-    # pending requests created since the last gate
+    # pending requests created since the last gate (+ routed channel)
     "PEND_TAG", "PEND_ADDR", "PEND_FLAGS", "PEND_RID", "PEND_RELEASE",
+    "PEND_CHAN",
     # MLP window of outstanding fills
     "OUT_TAG", "OUT_ISSUE", "OUT_RELEASE", "OUT_RID",
     # event heap (stride 4: time, seq, kind, payload) + latency log
@@ -135,13 +148,36 @@ PTR_FIELDS = (
     "BLK_ADDR",
     "C1_TAGS", "C1_DIRTY", "C1_STAMPS", "C1_COUNT", "C1_MRU",
     "C2_TAGS", "C2_DIRTY", "C2_STAMPS", "C2_COUNT", "C2_MRU",
+    # ranked-scheduler per-core state (ATLAS attained service / BLISS
+    # blacklist flag; ATLAS key presence; batch-marking scratch counts)
+    "SCHED_CORE", "SCHED_PRESENT", "SCHED_SCRATCH",
+    # multi-channel resident replay: each channel's slot-table address
+    "CHAN_TABLES",
+)
+
+#: Buffers grown per block replay (and per batch: the req_* and TBL),
+#: dropped after each trace by ``KernelState.release_trace_buffers``.
+#: Everything else in :data:`PTR_FIELDS` persists across calls.
+_TRACE_BUFFERS = (
+    "req_tag", "req_addr", "req_flags", "req_core", "req_release",
+    "req_service", "tbl",
+    "blk_flags", "blk_gap", "blk_lat", "blk_fill", "blk_wbidx", "blk_wbaddr",
+    "pend_tag", "pend_addr", "pend_flags", "pend_rid", "pend_release",
+    "pend_chan",
+    "out_tag", "out_issue", "out_release", "out_rid",
+    "heap", "latencies",
+    "blk_addr",
+    "c1_tags", "c1_dirty", "c1_stamps", "c1_count", "c1_mru",
+    "c2_tags", "c2_dirty", "c2_stamps", "c2_count", "c2_mru",
+    "chan_tables",
 )
 
 #: Violation log record: kind, bank, row, col, time_ps, earliest_ps, code.
 VIOL_STRIDE = 7
 
-#: Request-table scratch record: order, req_index, bank, row, col, is_wb.
-TBL_STRIDE = 6
+#: Request-table scratch record: order, req_index, bank, row, col, is_wb,
+#: core, batch-marked.
+TBL_STRIDE = 8
 
 #: WR-hit log record: bank, row, col.
 WRHIT_STRIDE = 3
@@ -200,6 +236,10 @@ def render_defines() -> str:
         f"#define KERR_DECODE_RANGE {KERR_DECODE_RANGE}",
         f"#define KERR_DEADLOCK {KERR_DEADLOCK}",
         f"#define KERR_BAD_KIND {KERR_BAD_KIND}",
+        f"#define SCHED_FRFCFS {SCHED_FRFCFS}",
+        f"#define SCHED_ATLAS {SCHED_ATLAS}",
+        f"#define SCHED_BLISS {SCHED_BLISS}",
+        f"#define SCHED_BATCH {SCHED_BATCH}",
         f"#define NEVER_PS ({NEVER}LL)",
         "#define FAR_FUTURE (1LL << 62)",
         "",
@@ -207,8 +247,49 @@ def render_defines() -> str:
     return "\n".join(lines)
 
 
+def scheduler_layout(scheduler) -> tuple[int, int, int, int, int] | str:
+    """The kernel's view of a scheduler, or why it has none.
+
+    Returns ``(kind, param, param2, decision_base, decision_per)``: the
+    policy code with its knobs, and the decision cost as
+    ``base + per * table_len`` derived from ``scheduler.decision_cost``.
+    Only the five registered policies are transcribed in the kernel; a
+    subclass may override any hook, so it never matches.
+    """
+    from repro.core.schedulers import (
+        ATLAS, BLISS, FCFS, FRFCFS, BatchScheduler,
+    )
+    cls = type(scheduler)
+    if cls is FCFS:
+        kind, param, param2 = SCHED_FCFS, 0, 0
+    elif cls is FRFCFS:
+        kind, param, param2 = SCHED_FRFCFS, 0, 0
+    elif cls is ATLAS:
+        kind, param, param2 = SCHED_ATLAS, scheduler.quantum, 0
+    elif cls is BLISS:
+        kind, param, param2 = (SCHED_BLISS, scheduler.threshold,
+                               scheduler.clear_interval)
+    elif cls is BatchScheduler:
+        kind, param, param2 = SCHED_BATCH, scheduler.batch_cap, 0
+    else:
+        return f"custom scheduler ({cls.__name__})"
+    base = scheduler.decision_cost(0)
+    per = scheduler.decision_cost(1) - base
+    return kind, param, param2, base, per
+
+
 def _arr(n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.int64)
+
+
+def scratch(n: int) -> np.ndarray:
+    """A log or scratch buffer the kernel writes before it reads.
+
+    Sized for the worst case, and mostly never touched: left unzeroed,
+    its untouched pages never enter the process's resident set (zeroing
+    a recycled heap chunk would).  Only slots below a count are read.
+    """
+    return np.empty(n, dtype=np.int64)
 
 
 class KernelState:
@@ -261,12 +342,12 @@ class KernelState:
         cfg[Cfg.PIPELINED] = int(smc._pipelined)
         cfg[Cfg.TRANSFER_CHARGE] = smc._transfer_charge
         cfg[Cfg.TOGGLE] = smc._critical_toggle
-        # decision_cost: FCFS = 3 + n, FR-FCFS = 4 + 2n (base + per * n).
-        from repro.core.schedulers import FRFCFS
-        frfcfs = type(scheduler) is FRFCFS
-        cfg[Cfg.SCHED_FRFCFS] = int(frfcfs)
-        cfg[Cfg.DECISION_BASE] = 4 if frfcfs else 3
-        cfg[Cfg.DECISION_PER] = 2 if frfcfs else 1
+        layout = scheduler_layout(scheduler)
+        if isinstance(layout, str):
+            raise ValueError(f"kernel cannot run this scheduler: {layout}")
+        (cfg[Cfg.SCHED_KIND], cfg[Cfg.SCHED_PARAM], cfg[Cfg.SCHED_PARAM2],
+         cfg[Cfg.DECISION_BASE], cfg[Cfg.DECISION_PER]) = layout
+        self.ranked = layout[0] >= SCHED_ATLAS
         age_cap = getattr(scheduler, "age_cap", None)
         cfg[Cfg.AGE_CAP] = -1 if age_cap is None else age_cap
         cfg[Cfg.REFRESH_ENABLED] = int(cc.refresh_enabled)
@@ -301,6 +382,7 @@ class KernelState:
         self.geometry = geo
 
         self.st = _arr(len(ST_FIELDS))
+        self.st[St.NCH] = 1
         # Per-bank arrays.
         self.last_act = _arr(n)
         self.last_pre = _arr(n)
@@ -340,10 +422,10 @@ class KernelState:
         self.plan_measured = plan_measured
         self.plan_postflush = plan_postflush
         # Logs (grown on demand between calls).
-        self.viol = _arr(VIOL_STRIDE * 4096)
-        self.wrhit = _arr(WRHIT_STRIDE * 256)
+        self.viol = scratch(VIOL_STRIDE * 4096)
+        self.wrhit = scratch(WRHIT_STRIDE * 256)
         self.mat_keys = _arr(0)
-        self.tracker_out = _arr(6 * max(1, int(cfg[Cfg.NCORES])))
+        self.tracker = _arr(6 * max(1, int(cfg[Cfg.NCORES])))
         # Batch request arrays (grown on demand).
         self._req_cap = 0
         self.req_tag = _arr(0)
@@ -365,6 +447,7 @@ class KernelState:
         self.pend_flags = _arr(0)
         self.pend_rid = _arr(0)
         self.pend_release = _arr(0)
+        self.pend_chan = _arr(0)
         self.out_tag = _arr(0)
         self.out_issue = _arr(0)
         self.out_release = _arr(0)
@@ -382,6 +465,10 @@ class KernelState:
         self.c2_stamps = _arr(0)
         self.c2_count = _arr(0)
         self.c2_mru = _arr(0)
+        self.sched_core = _arr(0)
+        self.sched_present = _arr(0)
+        self.sched_scratch = _arr(0)
+        self.chan_tables = _arr(0)
         #: Memoized ctypes slot table; any buffer swap clears it.
         self._ptr_table = None
 
@@ -394,25 +481,40 @@ class KernelState:
         cap = max(64, 2 * n)
         for name in ("req_tag", "req_addr", "req_flags", "req_core",
                      "req_release", "req_service"):
-            setattr(self, name, _arr(cap))
-        self.tbl = _arr(TBL_STRIDE * cap)
+            setattr(self, name, scratch(cap))
+        self.tbl = scratch(TBL_STRIDE * cap)
         self._req_cap = cap
         self._ptr_table = None
 
     def ensure_table(self, entries: int) -> None:
         if self.tbl.shape[0] < TBL_STRIDE * entries:
-            self.tbl = _arr(TBL_STRIDE * max(64, 2 * entries))
+            self.tbl = scratch(TBL_STRIDE * max(64, 2 * entries))
             self._ptr_table = None
 
     def ensure_viol(self, entries: int) -> None:
         if self.viol.shape[0] < VIOL_STRIDE * entries:
-            self.viol = _arr(VIOL_STRIDE * max(4096, 2 * entries))
+            self.viol = scratch(VIOL_STRIDE * max(4096, 2 * entries))
             self._ptr_table = None
 
     def ensure_wrhit(self, entries: int) -> None:
         if self.wrhit.shape[0] < WRHIT_STRIDE * entries:
-            self.wrhit = _arr(WRHIT_STRIDE * max(256, 2 * entries))
+            self.wrhit = scratch(WRHIT_STRIDE * max(256, 2 * entries))
             self._ptr_table = None
+
+    def release_trace_buffers(self) -> None:
+        """Drop the worst-case-sized buffers of a finished block replay.
+
+        A finished system is freed only by the cycle collector, and
+        several megabytes of replay buffers per channel should not wait
+        with it.  The next replay (or batch) grows them again.
+        """
+        for name in _TRACE_BUFFERS:
+            setattr(self, name, _arr(0))
+        self._req_cap = 0
+        self.viol = scratch(VIOL_STRIDE * 4096)
+        self.wrhit = scratch(WRHIT_STRIDE * 256)
+        self._ptr_table = None
+        self._keepalive = ()
 
     def refresh_materialized(self) -> None:
         """Snapshot the device's materialized rows as sorted search keys.
@@ -435,8 +537,15 @@ class KernelState:
 
     # -- marshalling --------------------------------------------------------
 
-    def load(self) -> None:
-        """Refresh the mutable controller-side state from the objects."""
+    def load(self, counters: bool = True, ncores: int = 1) -> None:
+        """Refresh the mutable controller-side state from the objects.
+
+        ``counters=False`` leaves the time-scaling counter slots alone:
+        channels of a multi-channel replay share one counter set, which
+        only the trace context (channel 0) marshals.  ``ncores`` bounds
+        the core ids the call can serve (sizes the ranked schedulers'
+        per-core arrays).
+        """
         smc = self.smc
         st = self.st
         flat = smc._flat
@@ -448,8 +557,7 @@ class KernelState:
         self.last_write_end[:n] = flat.last_write_end
         self.open_row[:n] = flat.open_row
         self.prev_open_row[:n] = flat.prev_open_row
-        for i, bank in enumerate(smc._device.banks):
-            self.act_count[i] = bank.act_count
+        self.act_count[:n] = [bank.act_count for bank in smc._device.banks]
         self.gmax_act[:] = flat.group_max_act
         self.gmax_cas[:] = flat.group_max_cas
         acts = list(flat.recent_acts)
@@ -471,13 +579,14 @@ class KernelState:
         st[St.LAST_REF] = flat.last_ref
         st[St.OPEN_COUNT] = flat.open_count
         st[St.LAST_ISSUE] = smc._device._last_issue_ps
-        counters = smc.counters
-        st[St.CNT_PROC] = counters.processor
-        st[St.CNT_MC] = counters.memory_controller
-        st[St.CNT_CRIT_ENTRIES] = counters.critical_entries
-        st[St.CNT_CATCHUP] = counters.catch_up_cycles
-        st[St.CNT_LOCKED_AT] = counters._locked_processor_at
-        st[St.CNT_CRITICAL] = int(counters.critical_mode)
+        if counters:
+            tsc = smc.counters
+            st[St.CNT_PROC] = tsc.processor
+            st[St.CNT_MC] = tsc.memory_controller
+            st[St.CNT_CRIT_ENTRIES] = tsc.critical_entries
+            st[St.CNT_CATCHUP] = tsc.catch_up_cycles
+            st[St.CNT_LOCKED_AT] = tsc._locked_processor_at
+            st[St.CNT_CRITICAL] = int(tsc.critical_mode)
         stats = smc.stats
         st[St.S_READS] = stats.serviced_reads
         st[St.S_WRITES] = stats.serviced_writes
@@ -511,12 +620,14 @@ class KernelState:
         st[St.WRHIT_CAP] = self.wrhit.shape[0] // WRHIT_STRIDE
         st[St.TBL_CAP] = self.tbl.shape[0] // TBL_STRIDE
         if self.cfg[Cfg.HAS_TRACKER]:
-            self.tracker_out[:] = 0
+            self.tracker[:] = 0
+        if self.ranked:
+            self._load_scheduler(ncores)
 
-    def store(self) -> None:
+    def store(self, counters: bool = True) -> None:
         """Write the kernel's state back into the live objects."""
         smc = self.smc
-        st = self.st
+        st = self.st.tolist()      # Python ints: one conversion, not ~60
         flat = smc._flat
         device = smc._device
         n = self.nbanks
@@ -548,8 +659,8 @@ class KernelState:
             bank.act_count = act_count[i]
         flat.group_max_act[:] = self.gmax_act.tolist()
         flat.group_max_cas[:] = self.gmax_cas.tolist()
-        head = int(st[St.FAW_HEAD])
-        length = int(st[St.FAW_LEN])
+        head = st[St.FAW_HEAD]
+        length = st[St.FAW_LEN]
         cap = FAW_RING_CAP
         ring = self.faw_ring
         acts = [int(ring[(head + i) % cap]) for i in range(length)]
@@ -559,74 +670,134 @@ class KernelState:
         # channel-wide window (flat.rank_recent_acts stays unused).
         rank = device.ranks[0]
         rank.recent_acts = list(acts)
-        last_ref = int(st[St.LAST_REF])
+        last_ref = st[St.LAST_REF]
         if last_ref != flat.last_ref:
             # REF issued during the call: _apply_ref semantics.
             for rank_state in device.ranks:
                 rank_state.last_ref = last_ref
                 rank_state.refresh_epoch_ps = last_ref
-        flat.max_act_all = int(st[St.MAX_ACT_ALL])
-        flat.max_cas_all = int(st[St.MAX_CAS_ALL])
-        flat.max_write_end = int(st[St.MAX_WRITE_END])
-        flat.max_pre = int(st[St.MAX_PRE])
+        flat.max_act_all = st[St.MAX_ACT_ALL]
+        flat.max_cas_all = st[St.MAX_CAS_ALL]
+        flat.max_write_end = st[St.MAX_WRITE_END]
+        flat.max_pre = st[St.MAX_PRE]
         flat.last_ref = last_ref
-        flat.open_count = int(st[St.OPEN_COUNT])
-        device._last_issue_ps = int(st[St.LAST_ISSUE])
-        smc.sched_cursor = int(st[St.SCHED_CURSOR])
-        smc.dram_cursor = int(st[St.DRAM_CURSOR])
-        smc._exec_anchor_ps = int(st[St.EXEC_ANCHOR])
-        smc._next_refresh_ps = int(st[St.NEXT_REFRESH])
-        smc._refresh_index = int(st[St.REFRESH_INDEX])
-        smc._arrival_counter = int(st[St.ARRIVAL_COUNTER])
-        smc.api.charged_cycles = int(st[St.CHARGED])
+        flat.open_count = st[St.OPEN_COUNT]
+        device._last_issue_ps = st[St.LAST_ISSUE]
+        smc.sched_cursor = st[St.SCHED_CURSOR]
+        smc.dram_cursor = st[St.DRAM_CURSOR]
+        smc._exec_anchor_ps = st[St.EXEC_ANCHOR]
+        smc._next_refresh_ps = st[St.NEXT_REFRESH]
+        smc._refresh_index = st[St.REFRESH_INDEX]
+        smc._arrival_counter = st[St.ARRIVAL_COUNTER]
+        smc.api.charged_cycles = st[St.CHARGED]
         smc.api.critical = bool(st[St.CRITICAL])
-        counters = smc.counters
-        counters.processor = int(st[St.CNT_PROC])
-        counters.memory_controller = int(st[St.CNT_MC])
-        counters.critical_entries = int(st[St.CNT_CRIT_ENTRIES])
-        counters.catch_up_cycles = int(st[St.CNT_CATCHUP])
-        counters._locked_processor_at = int(st[St.CNT_LOCKED_AT])
-        counters.critical_mode = bool(st[St.CNT_CRITICAL])
+        if counters:
+            tsc = smc.counters
+            tsc.processor = st[St.CNT_PROC]
+            tsc.memory_controller = st[St.CNT_MC]
+            tsc.critical_entries = st[St.CNT_CRIT_ENTRIES]
+            tsc.catch_up_cycles = st[St.CNT_CATCHUP]
+            tsc._locked_processor_at = st[St.CNT_LOCKED_AT]
+            tsc.critical_mode = bool(st[St.CNT_CRITICAL])
+        if self.ranked:
+            self._store_scheduler()
         stats = smc.stats
-        stats.serviced_reads = int(st[St.S_READS])
-        stats.serviced_writes = int(st[St.S_WRITES])
-        stats.serviced_prefetches = int(st[St.S_PREFETCHES])
-        stats.refreshes = int(st[St.S_REFRESHES])
-        stats.storm_refreshes = int(st[St.S_STORM])
-        stats.total_sched_cycles = int(st[St.S_SCHED_CYCLES])
-        stats.batches_executed = int(st[St.S_BATCHES])
+        stats.serviced_reads = st[St.S_READS]
+        stats.serviced_writes = st[St.S_WRITES]
+        stats.serviced_prefetches = st[St.S_PREFETCHES]
+        stats.refreshes = st[St.S_REFRESHES]
+        stats.storm_refreshes = st[St.S_STORM]
+        stats.total_sched_cycles = st[St.S_SCHED_CYCLES]
+        stats.batches_executed = st[St.S_BATCHES]
         tstats = smc._tile_stats
-        tstats.requests_received = int(st[St.T_REQUESTS])
-        tstats.responses_sent = int(st[St.T_RESPONSES])
-        tstats.refreshes_issued = int(st[St.T_REFRESHES])
-        tstats.scheduling_ps = int(st[St.T_SCHED_PS])
-        tstats.dram_busy_ps = int(st[St.T_DRAM_BUSY])
-        tstats.row_hits = int(st[St.T_HITS])
-        tstats.row_misses = int(st[St.T_MISSES])
-        tstats.row_conflicts = int(st[St.T_CONFLICTS])
+        tstats.requests_received = st[St.T_REQUESTS]
+        tstats.responses_sent = st[St.T_RESPONSES]
+        tstats.refreshes_issued = st[St.T_REFRESHES]
+        tstats.scheduling_ps = st[St.T_SCHED_PS]
+        tstats.dram_busy_ps = st[St.T_DRAM_BUSY]
+        tstats.row_hits = st[St.T_HITS]
+        tstats.row_misses = st[St.T_MISSES]
+        tstats.row_conflicts = st[St.T_CONFLICTS]
         bender = smc._bender
-        bender.programs_run = int(st[St.B_PROGRAMS])
-        bender.total_interface_cycles = int(st[St.B_CYCLES])
+        bender.programs_run = st[St.B_PROGRAMS]
+        bender.total_interface_cycles = st[St.B_CYCLES]
         commands = device.stats.commands
         for name, slot in (("ACT", St.CMD_ACT), ("PRE", St.CMD_PRE),
                            ("PREA", St.CMD_PREA), ("RD", St.CMD_RD),
                            ("WR", St.CMD_WR), ("REF", St.CMD_REF)):
-            count = int(st[slot])
+            count = st[slot]
             if count or name in commands:
                 if count != commands.get(name, 0):
                     commands[name] = count
         tracker = smc._core_tracker
         if tracker is not None and self.cfg[Cfg.HAS_TRACKER]:
             ncores = int(self.cfg[Cfg.NCORES])
-            out = self.tracker_out
+            out = self.tracker.tolist()
             for c in range(ncores):
                 base = 6 * c
-                tracker.reads[c] += int(out[base])
-                tracker.writes[c] += int(out[base + 1])
-                tracker.prefetches[c] += int(out[base + 2])
-                tracker.row_hits[c] += int(out[base + 3])
-                tracker.row_misses[c] += int(out[base + 4])
-                tracker.row_conflicts[c] += int(out[base + 5])
+                tracker.reads[c] += out[base]
+                tracker.writes[c] += out[base + 1]
+                tracker.prefetches[c] += out[base + 2]
+                tracker.row_hits[c] += out[base + 3]
+                tracker.row_misses[c] += out[base + 4]
+                tracker.row_conflicts[c] += out[base + 5]
+
+    def _load_scheduler(self, ncores: int) -> None:
+        """Marshal ATLAS/BLISS/batch ranking state into the kernel slots.
+
+        A batch scheduler's marked set is empty between episodes (every
+        episode drains its table, and a served request leaves the set),
+        so the kernel starts each call with no live marks.
+        """
+        sched = self.smc._scheduler
+        st = self.st
+        kind = int(self.cfg[Cfg.SCHED_KIND])
+        keys = (sched.attained if kind == SCHED_ATLAS else
+                sched.blacklisted if kind == SCHED_BLISS else ())
+        need = max([ncores, 1] + [core + 1 for core in keys])
+        if self.sched_core.shape[0] < need:
+            for name in ("sched_core", "sched_present", "sched_scratch"):
+                setattr(self, name, _arr(2 * need))
+            self._ptr_table = None
+        st[St.SCHED_NCORES] = self.sched_core.shape[0]
+        self.sched_core[:] = 0
+        self.sched_present[:] = 0
+        if kind == SCHED_ATLAS:
+            for core, value in sched.attained.items():
+                self.sched_core[core] = value
+                self.sched_present[core] = 1
+            st[St.SCHED_SERVES] = sched._serves_in_quantum
+        elif kind == SCHED_BLISS:
+            for core in sched.blacklisted:
+                self.sched_core[core] = 1
+            last = sched._last_core
+            st[St.SCHED_LAST_CORE] = -1 if last is None else last
+            st[St.SCHED_STREAK] = sched._streak
+            st[St.SCHED_SERVES] = sched._serves
+        else:
+            st[St.SCHED_MARKED] = 0
+
+    def _store_scheduler(self) -> None:
+        """Write the kernel's ranking state back into the scheduler."""
+        sched = self.smc._scheduler
+        st = self.st
+        kind = int(self.cfg[Cfg.SCHED_KIND])
+        values = self.sched_core.tolist()
+        if kind == SCHED_ATLAS:
+            sched.attained = {
+                core: values[core]
+                for core in np.flatnonzero(self.sched_present).tolist()}
+            sched._serves_in_quantum = int(st[St.SCHED_SERVES])
+        elif kind == SCHED_BLISS:
+            sched.blacklisted.clear()
+            sched.blacklisted.update(
+                core for core, flag in enumerate(values) if flag)
+            last = int(st[St.SCHED_LAST_CORE])
+            sched._last_core = None if last < 0 else last
+            sched._streak = int(st[St.SCHED_STREAK])
+            sched._serves = int(st[St.SCHED_SERVES])
+        else:
+            sched.marked.clear()
 
     # -- log scatter ---------------------------------------------------------
 
@@ -690,32 +861,7 @@ class KernelState:
         if self._ptr_table is not None:
             return self._ptr_table
         import ctypes
-        arrays = (
-            self.cfg, self.st,
-            self.last_act, self.last_pre, self.last_read, self.last_write,
-            self.last_write_end, self.open_row, self.prev_open_row,
-            self.act_count, self.group_of, self.gmax_act, self.gmax_cas,
-            self.faw_ring,
-            self.plan_n, self.plan_kinds, self.plan_offsets,
-            self.plan_cycles, self.plan_charge, self.plan_measured,
-            self.plan_postflush,
-            self.viol, self.mat_keys, self.wrhit,
-            self.req_tag, self.req_addr, self.req_flags, self.req_core,
-            self.req_release, self.req_service, self.tracker_out,
-            self.tbl,
-            self.blk_flags, self.blk_gap, self.blk_lat, self.blk_fill,
-            self.blk_wbidx, self.blk_wbaddr,
-            self.pend_tag, self.pend_addr, self.pend_flags, self.pend_rid,
-            self.pend_release,
-            self.out_tag, self.out_issue, self.out_release, self.out_rid,
-            self.heap, self.latencies,
-            self.blk_addr,
-            self.c1_tags, self.c1_dirty, self.c1_stamps, self.c1_count,
-            self.c1_mru,
-            self.c2_tags, self.c2_dirty, self.c2_stamps, self.c2_count,
-            self.c2_mru,
-        )
-        assert len(arrays) == len(PTR_FIELDS)
+        arrays = tuple(getattr(self, name.lower()) for name in PTR_FIELDS)
         p64 = ctypes.POINTER(ctypes.c_int64)
         table = (p64 * len(arrays))()
         null = ctypes.cast(None, p64)
@@ -724,31 +870,3 @@ class KernelState:
         self._keepalive = arrays
         self._ptr_table = table
         return table
-
-    def array_table(self):
-        """The same slot table as live numpy arrays (pure-Python backend)."""
-        return [
-            self.cfg, self.st,
-            self.last_act, self.last_pre, self.last_read, self.last_write,
-            self.last_write_end, self.open_row, self.prev_open_row,
-            self.act_count, self.group_of, self.gmax_act, self.gmax_cas,
-            self.faw_ring,
-            self.plan_n, self.plan_kinds, self.plan_offsets,
-            self.plan_cycles, self.plan_charge, self.plan_measured,
-            self.plan_postflush,
-            self.viol, self.mat_keys, self.wrhit,
-            self.req_tag, self.req_addr, self.req_flags, self.req_core,
-            self.req_release, self.req_service, self.tracker_out,
-            self.tbl,
-            self.blk_flags, self.blk_gap, self.blk_lat, self.blk_fill,
-            self.blk_wbidx, self.blk_wbaddr,
-            self.pend_tag, self.pend_addr, self.pend_flags, self.pend_rid,
-            self.pend_release,
-            self.out_tag, self.out_issue, self.out_release, self.out_rid,
-            self.heap, self.latencies,
-            self.blk_addr,
-            self.c1_tags, self.c1_dirty, self.c1_stamps, self.c1_count,
-            self.c1_mru,
-            self.c2_tags, self.c2_dirty, self.c2_stamps, self.c2_count,
-            self.c2_mru,
-        ]

@@ -87,25 +87,58 @@ class TestSingleCoreUnchanged:
     """One configured core must reproduce the plain session exactly."""
 
     @pytest.mark.parametrize("engine", ("cycle", "event"))
-    def test_run_cores_matches_run_trace(self, engine):
-        config = small_config()
+    def test_run_cores_matches_run_trace(self, engine, monkeypatch):
+        """Same observables, and (event engine) the same block replay.
 
-        def observables(drive):
+        A mix's solo baselines are 1-core ``run_cores`` calls, so every
+        stateful scheduler on both topologies must take the resident
+        kernel replay there, exactly as ``run_trace`` does.
+        """
+        from repro.dram.kernel import blockrun, resolve_backend
+        from repro.fastpath import fastpath_enabled
+
+        replays: list[bool] = []
+        original = blockrun.run_gated_kernel
+
+        def counting(*args):
+            replays.append(original(*args))
+            return replays[-1]
+
+        monkeypatch.setattr(blockrun, "run_gated_kernel", counting)
+
+        def observables(config, drive):
+            replays.clear()
             system = EasyDRAMSystem(config, engine=engine)
             session = system.session("solo", engine=engine)
             drive(session)
             result = dataclasses.asdict(session.finish())
             result.pop("wall_seconds")
-            smc = dataclasses.asdict(system.smc.stats)
-            return result, smc, (system.counters.processor,
-                                 system.counters.memory_controller)
+            smc = [dataclasses.asdict(c.stats) for c in system.smcs]
+            return (result, smc, dataclasses.asdict(system.counters),
+                    dataclasses.asdict(session.engine.stats),
+                    [vars(c.scheduler) for c in system.smcs],
+                    list(replays))
 
         def trace():
             return microbench.cpu_copy_blocks(0, 1 << 21, 128 * 1024)
 
-        via_trace = observables(lambda s: s.run_trace(trace()))
-        via_cores = observables(lambda s: s.run_cores([trace()]))
-        assert via_trace == via_cores
+        # Engagement is asserted only where the active backend can
+        # replay blocks (not under REPRO_KERNEL=0/py or REPRO_FASTPATH=0).
+        backend, _ = resolve_backend()
+        engages = (engine == "event" and fastpath_enabled()
+                   and getattr(backend, "run_block", None) is not None)
+        for scheduler in ("fr-fcfs", "atlas", "bliss", "batch"):
+            for topology in ("ddr4-1ch", "ddr4-2ch"):
+                config = small_config(scheduler=scheduler).with_topology(
+                    topology)
+                via_trace = observables(config, lambda s: s.run_trace(trace()))
+                via_cores = observables(config,
+                                        lambda s: s.run_cores([trace()]))
+                assert via_trace == via_cores, (scheduler, topology)
+                if engages:
+                    assert via_cores[-1] == [True], (
+                        f"1-core run_cores did not replay resident in the"
+                        f" kernel ({scheduler}, {topology})")
 
     def test_single_core_reports_no_per_core_slices(self):
         system = EasyDRAMSystem(small_config())

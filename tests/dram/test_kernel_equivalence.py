@@ -12,10 +12,12 @@ interference knobs — through three serve configurations:
 * **object** — fastpath off (the staged-program reference pipeline);
 
 and asserts the complete observable artifact — ``RunResult`` (including
-per-core slices), per-request latencies, ``SmcStats``, and device stats
-— is identical across all three.  Prefetch-tagged batches, refresh
-storms, and multi-core contention get dedicated cases on top of the
-randomized cross.
+per-core slices), per-request latencies, ``SmcStats``, device stats, and
+every channel's scheduler state (ATLAS attained service, BLISS
+blacklist and streak, batch marks) — is identical across all three.
+Prefetch-tagged batches, refresh storms, multi-core contention under
+every scheduler, and every channel interleave get dedicated cases on
+top of the randomized cross.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import (ControllerConfig, InterferenceConfig,
                                jetson_nano_time_scaling)
+from repro.core.schedulers import ATLAS, BLISS, SCHEDULERS, BatchScheduler
 from repro.core.system import EasyDRAMSystem
 from repro.cpu.blocks import AccessBlock, BlockTrace
 from repro.cpu.memtrace import FLAG_DEPENDENT, FLAG_WRITE
@@ -73,6 +76,27 @@ def _trace(stream: list[tuple[int, int, int]], split: int) -> BlockTrace:
         for chunk in chunks if chunk)
 
 
+def _observables(system, session) -> dict:
+    """Every observable of a finished session, as a dict."""
+    artifact = dataclasses.asdict(session.finish())
+    artifact.pop("wall_seconds")
+    artifact["latencies"] = [list(core.processor.stats.request_latencies)
+                             for core in session.cores]
+    artifact["smc"] = [dataclasses.asdict(smc.stats)
+                       for smc in system.smcs]
+    artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
+                          for c in system.channels]
+    artifact["engine"] = dataclasses.asdict(session.engine.stats)
+    artifact["counters"] = dataclasses.asdict(system.counters)
+    # The full ranking state, so a kernel that served in the right order
+    # but left the scheduler behind (or ahead) still fails.
+    artifact["scheduler"] = [vars(smc.scheduler) for smc in system.smcs]
+    for smc in system.smcs:
+        if isinstance(smc.scheduler, BatchScheduler):
+            assert not smc.scheduler.marked, "batch marks outlived a batch"
+    return artifact
+
+
 def _run_artifact(config, stream: list, split: int,
                   prefetch: PrefetchConfig | None = None) -> dict:
     """One full session over the stream; every observable, as a dict."""
@@ -81,15 +105,7 @@ def _run_artifact(config, stream: list, split: int,
     if prefetch is not None:
         session.set_prefetcher(0, prefetch)
     session.run_trace(_trace(stream, split))
-    result = session.finish()
-    artifact = dataclasses.asdict(result)
-    artifact.pop("wall_seconds")
-    artifact["latencies"] = list(session.processor.stats.request_latencies)
-    artifact["smc"] = [dataclasses.asdict(smc.stats)
-                       for smc in system.smcs]
-    artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
-                          for c in system.channels]
-    return artifact
+    return _observables(system, session)
 
 
 def assert_modes_identical(make_config, stream: list, split: int,
@@ -123,7 +139,7 @@ stream_st = st.lists(access, min_size=20, max_size=120)
           suppress_health_check=[HealthCheck.too_slow])
 @given(stream=stream_st, split=st.integers(min_value=0, max_value=120),
        topology=st.sampled_from(("ddr4-1ch", "ddr4-2ch")),
-       scheduler=st.sampled_from(("fr-fcfs", "fcfs", "bliss")),
+       scheduler=st.sampled_from(sorted(SCHEDULERS)),
        storm=st.sampled_from((1, 4)))
 def test_random_streams_identical(stream, split, topology, scheduler, storm):
     assert_modes_identical(
@@ -189,6 +205,116 @@ def test_multicore_coreresults_identical():
         artifacts[name] = artifact
     assert artifacts["kernel"] == artifacts["flat"]
     assert artifacts["flat"] == artifacts["object"]
+
+
+#: Ranked schedulers with knobs small enough that a short run crosses
+#: ATLAS quantum halvings, BLISS blacklists and clears, and many batches.
+TIGHT_SCHEDULERS = {
+    "atlas": lambda: ATLAS(quantum=16),
+    "bliss": lambda: BLISS(threshold=2, clear_interval=24),
+    "batch": lambda: BatchScheduler(batch_cap=2),
+    "atlas-capped": lambda: ATLAS(age_cap=6, quantum=16),
+}
+
+
+def _run_cores_artifact(config, streams: list, make_scheduler) -> dict:
+    """``len(streams)`` cores under one scheduler object per channel."""
+    system = EasyDRAMSystem(config)
+    for smc in system.smcs:
+        smc.scheduler = make_scheduler()
+    session = system.session("kernel-diff-cores")
+    for _ in streams[1:]:
+        session.add_core()
+    session.run_cores([_trace(stream, len(stream) // 2)
+                       for stream in streams])
+    return _observables(system, session)
+
+
+def _core_streams(cores: int) -> list:
+    """One dense mixed stream per core, in disjoint 4 MiB regions."""
+    region = 4 * 1024 * 1024
+    return [[(addr + core * region, flags, gap) for addr, flags, gap
+             in _dense_mixed_stream(160 - 30 * core)]
+            for core in range(cores)]
+
+
+@pytest.mark.parametrize("topology", ("ddr4-1ch", "ddr4-2ch"))
+@pytest.mark.parametrize("scheduler", sorted(TIGHT_SCHEDULERS))
+@pytest.mark.parametrize("cores", (1, 3))
+def test_ranked_schedulers_identical(cores, scheduler, topology):
+    """Per-gate (3 cores) and resident (1 core) ranking, state included."""
+    streams = _core_streams(cores)
+    artifacts = {}
+    for name, fastpath, kernel in MODES:
+        with serve_mode(fastpath, kernel):
+            artifacts[name] = _run_cores_artifact(
+                jetson_nano_time_scaling().with_topology(topology),
+                streams, TIGHT_SCHEDULERS[scheduler])
+    assert artifacts["kernel"] == artifacts["flat"]
+    assert artifacts["flat"] == artifacts["object"]
+
+
+@pytest.mark.slow  # randomized multi-core cross; on CI's `slow` leg
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(stream=st.lists(access, min_size=30, max_size=150),
+       cores=st.integers(min_value=2, max_value=4),
+       topology=st.sampled_from(("ddr4-1ch", "ddr4-2ch")),
+       scheduler=st.sampled_from(sorted(TIGHT_SCHEDULERS)))
+def test_random_multicore_ranked_identical(stream, cores, topology,
+                                           scheduler):
+    """Random streams dealt round-robin to cores, per-gate ranking."""
+    region = 8 * 1024 * 1024
+    streams = [[(addr + core * region, flags, gap) for addr, flags, gap
+                in stream[core::cores]] for core in range(cores)]
+    artifacts = {}
+    for name, fastpath, kernel in MODES:
+        with serve_mode(fastpath, kernel):
+            artifacts[name] = _run_cores_artifact(
+                jetson_nano_time_scaling().with_topology(topology),
+                streams, TIGHT_SCHEDULERS[scheduler])
+    assert artifacts["kernel"] == artifacts["flat"]
+    assert artifacts["flat"] == artifacts["object"]
+
+
+@pytest.mark.parametrize("scheme,channels", (
+    ("row-bank-col", 2),      # legacy scheme: channel-major slabs
+    ("channel-line", 2),
+    ("channel-row", 2),
+    ("channel-xor", 4),       # power of two: XOR hash
+    ("channel-xor", 3),       # otherwise: additive skew
+))
+def test_channel_interleaves_identical(scheme, channels):
+    """Resident multi-channel routing matches every channel interleave."""
+    stream = [(addr * 7 % (8 * 1024 * 1024), flags, gap)
+              for addr, flags, gap in _dense_mixed_stream(200)]
+    assert_modes_identical(
+        lambda: jetson_nano_time_scaling().with_topology(
+            "ddr4-2ch", mapping_scheme=scheme, channels=channels),
+        stream, 90)
+
+
+def test_shared_stateful_scheduler_declines_resident_replay():
+    """One ranked scheduler object across channels: per-gate kernel only.
+
+    The resident replay keeps one scheduler state per channel table, so
+    a shared object must decline it (with the reason on the façade);
+    the per-gate batches still engage and load/store the one object.
+    """
+    artifacts = {}
+    reasons = {}
+    for name, fastpath, kernel in MODES:
+        with serve_mode(fastpath, kernel):
+            system = EasyDRAMSystem(
+                jetson_nano_time_scaling().with_topology("ddr4-2ch"))
+            system.smc.scheduler = ATLAS(quantum=16)  # one object, 2 channels
+            session = system.session("shared-scheduler")
+            session.run_trace(_trace(_dense_mixed_stream(), 120))
+            artifacts[name] = _observables(system, session)
+            reasons[name] = system.smc.kernel_fallback_reason
+    assert artifacts["kernel"] == artifacts["flat"] == artifacts["object"]
+    if KERNEL_MODE == "c":
+        assert reasons["kernel"] == "stateful scheduler shared across channels"
 
 
 def test_kernel_actually_engages():
