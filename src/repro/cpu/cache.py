@@ -20,6 +20,15 @@ stamps.  The two layouts are behaviorally identical (stamp order *is*
 recency order); :class:`ReferenceCache`/:class:`ReferenceCacheHierarchy`
 below preserve the original list-based implementation verbatim as the
 oracle the randomized differential tests compare against.
+
+Kernel residency: the compiled block replay keeps a hierarchy's set
+contents in a flat mirror (:class:`~repro.dram.kernel.blockrun.
+CacheMirror`) between traces.  While the mirror owns them, each level's
+``_owner`` names it and the per-set lists (``_tags``, ``_dirty``,
+``_stamps``, ``_mru``) are absent: the first read of any of them
+rebuilds both levels' lists from the mirror and hands ownership back to
+Python, so no code path can see stale lists.  :meth:`CacheHierarchy.
+flush_line` evicts in the mirror directly instead.
 """
 
 from __future__ import annotations
@@ -27,6 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+#: Per-set state a kernel mirror owns between traces (see module docstring).
+_SET_STATE = frozenset(("_tags", "_dirty", "_stamps", "_mru"))
 
 
 @dataclass
@@ -72,6 +85,17 @@ class Cache:
         self._mru: list[int] = [-1] * self.num_sets
         self._tick = 0
         self.stats = CacheStats()
+        #: The kernel mirror that owns the per-set lists, or ``None``.
+        self._owner = None
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: the per-set lists were
+        # dropped because a kernel mirror owns them.  Take them back.
+        owner = self.__dict__.get("_owner")
+        if owner is None or name not in _SET_STATE:
+            raise AttributeError(name)
+        owner.materialize()
+        return self.__dict__[name]
 
     # -- per-access API (set/tag split hoisted into the _st variants) -------
 
@@ -214,6 +238,9 @@ class CacheHierarchy:
         #: Extra core cycles charged on an LLC miss for the fill path
         #: (bus/queue traversal); DRAM latency itself comes from the SMC.
         self.memory_fill_latency = memory_fill_latency
+        #: Kernel-layout mirror of both levels, kept between traces once
+        #: the compiled block replay has run on this hierarchy.
+        self._kernel_mirror = None
 
     def access(self, addr: int, is_write: bool) -> MemoryTraffic:
         """Access a byte address; return latency and memory traffic."""
@@ -433,6 +460,16 @@ class CacheHierarchy:
     def flush_line(self, addr: int) -> int | None:
         """CLFLUSH: invalidate everywhere; return writeback address if dirty."""
         line = addr // self.line_bytes
+        owner = self.l1._owner
+        if owner is not None:
+            # Evict in the kernel mirror (Cache.evict on both levels)
+            # rather than hand the whole hierarchy back to Python.
+            hit = owner.flush(line)
+            if hit & 1:
+                self.l1.stats.flushes += 1
+            if hit & 4:
+                self.l2.stats.flushes += 1
+            return line * self.line_bytes if hit & 10 else None
         dirty = False
         for cache in (self.l1, self.l2):
             present, was_dirty = cache.evict(line)

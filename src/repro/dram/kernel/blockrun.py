@@ -11,8 +11,13 @@ on one channel or on a :class:`~repro.core.channels.ChannelSet` — the
 channel routing, every channel's critical-mode episodes with their
 scheduler state, refresh interleave, and the event-queue bookkeeping.
 Python is re-entered once per :class:`~repro.cpu.blocks.AccessBlock`
-(thousands of accesses) only to run the cache model and to flush logs,
-and the controller objects are loaded/stored exactly once per trace.
+(thousands of accesses) only to flush logs (and to run the cache model
+when it cannot be lifted), and the controller objects are loaded/stored
+exactly once per trace.  The cache is not: each hierarchy's
+:class:`CacheMirror` stays resident between traces and owns the set
+contents, so a trace reloads only the LRU ticks and per-level stats;
+the full per-set copy runs on the hierarchy's first replay and after
+Python code took the lists back.
 
 On a multi-channel topology each channel keeps its own controller table;
 channel 0's :class:`~repro.dram.kernel.state.KernelState` doubles as the
@@ -30,14 +35,16 @@ bit-identical either way.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 
 import numpy as np
 
 from repro.core.events import EventKind
+from repro.cpu.cache import _SET_STATE
 from repro.dram.kernel.state import (
-    KERN_OK, KERR_DEADLOCK, KERR_DECODE_RANGE, Cfg, St,
-    TBL_STRIDE, VIOL_STRIDE, WRHIT_STRIDE, scratch,
+    CFG_FIELDS, KERN_OK, KERR_DEADLOCK, KERR_DECODE_RANGE, PTR_FIELDS, Cfg,
+    Ptr, St, TBL_STRIDE, VIOL_STRIDE, WRHIT_STRIDE, scratch,
 )
 
 #: Event-heap headroom (entries) per block on top of the worst-case
@@ -58,12 +65,105 @@ def _grow_keep(arr, need: int):
     return new
 
 
-def _load_cache(ks, hier) -> None:
-    """Flatten the two cache levels into the kernel's way arrays.
+#: A mirror's arrays per level: way state ``[set * assoc]``, then per set.
+_MIRROR_ARRAYS = tuple(f"{prefix}_{name}" for prefix in ("c1", "c2")
+                       for name in ("tags", "dirty", "stamps", "count", "mru"))
 
-    Padded ``[set * assoc]`` layout with a live-way count per set; slots
-    past the count are never read by the kernel, so they stay stale.
+
+class CacheMirror:
+    """A :class:`~repro.cpu.cache.CacheHierarchy`'s sets in kernel layout.
+
+    Padded ``[set * assoc]`` tags, dirty bits and LRU stamps with a
+    live-way count and MRU slot per set (slots past the count are never
+    read, so they stay stale).  Allocated on the hierarchy's first block
+    replay and kept for its lifetime; the trace context's ``c1_*``/
+    ``c2_*`` slots point here.  Either the mirror or the levels' per-set
+    lists own the contents, never both: :meth:`own` drops the lists, and
+    :meth:`materialize` rebuilds them the first time Python code reads
+    one (``Cache.__getattr__``).
     """
+
+    def __init__(self, hier, backend) -> None:
+        self.levels = (hier.l1, hier.l2)
+        self.cfg = _arr(len(CFG_FIELDS))
+        for prefix, level, sets_slot, assoc_slot in (
+                ("c1", hier.l1, Cfg.C1_SETS, Cfg.C1_ASSOC),
+                ("c2", hier.l2, Cfg.C2_SETS, Cfg.C2_ASSOC)):
+            for name in ("tags", "dirty", "stamps"):
+                setattr(self, f"{prefix}_{name}",
+                        _arr(level.num_sets * level.assoc))
+            for name in ("count", "mru"):
+                setattr(self, f"{prefix}_{name}", _arr(level.num_sets))
+            self.cfg[sets_slot] = level.num_sets
+            self.cfg[assoc_slot] = level.assoc
+        p64 = ctypes.POINTER(ctypes.c_int64)
+        self._table = (p64 * len(PTR_FIELDS))()   # unused slots stay NULL
+        for name in ("cfg",) + _MIRROR_ARRAYS:
+            self._table[getattr(Ptr, name.upper())] = \
+                getattr(self, name).ctypes.data_as(p64)
+        #: CLFLUSH of one line address in the arrays (``repro_cache_flush``):
+        #: bits 0/1 are L1 present/dirty, bits 2/3 the same for L2.
+        self.flush = functools.partial(backend.cache_flush,
+                                       ctypes.addressof(self._table))
+
+    def own(self) -> None:
+        """Take the set contents over from the levels' per-set lists.
+
+        Copies every set unless the mirror owns them already, then drops
+        the lists: the kernel's first write makes them stale.
+        """
+        if self.levels[0]._owner is self:
+            return
+        for prefix, level in zip(("c1", "c2"), self.levels):
+            assoc = level.assoc
+            tags = getattr(self, prefix + "_tags")
+            dirty = getattr(self, prefix + "_dirty")
+            stamps = getattr(self, prefix + "_stamps")
+            for s, ways in enumerate(level._tags):
+                if ways:
+                    base = s * assoc
+                    c = len(ways)
+                    tags[base:base + c] = ways
+                    dirty[base:base + c] = level._dirty[s]
+                    stamps[base:base + c] = level._stamps[s]
+            getattr(self, prefix + "_count")[:] = [
+                len(ways) for ways in level._tags]
+            getattr(self, prefix + "_mru")[:] = level._mru
+        for level in self.levels:
+            for name in _SET_STATE:
+                del level.__dict__[name]
+            level._owner = self
+
+    def materialize(self) -> None:
+        """Rebuild both levels' per-set lists and hand them back."""
+        for prefix, level in zip(("c1", "c2"), self.levels):
+            assoc = level.assoc
+            tags = getattr(self, prefix + "_tags").tolist()
+            dirty = getattr(self, prefix + "_dirty").tolist()
+            stamps = getattr(self, prefix + "_stamps").tolist()
+            count = getattr(self, prefix + "_count").tolist()
+            level._tags = [tags[s * assoc:s * assoc + c]
+                           for s, c in enumerate(count)]
+            level._dirty = [[bool(d) for d in dirty[s * assoc:s * assoc + c]]
+                            for s, c in enumerate(count)]
+            level._stamps = [stamps[s * assoc:s * assoc + c]
+                             for s, c in enumerate(count)]
+            level._mru = getattr(self, prefix + "_mru").tolist()
+            level._owner = None
+
+
+def _load_cache(ks, hier, backend) -> None:
+    """Point the trace context at ``hier``'s mirror, owning its sets.
+
+    The full per-set copy runs only when Python owns the lists: on the
+    hierarchy's first replay, or after Python code took them back.  A
+    trace that follows a trace, a technique episode or a CLFLUSH (which
+    evicts in the mirror) loads only the LRU ticks and per-level stats.
+    """
+    mirror = hier._kernel_mirror
+    if mirror is None:
+        mirror = hier._kernel_mirror = CacheMirror(hier, backend)
+    mirror.own()
     cfg = ks.cfg
     st = ks.st
     l1, l2 = hier.l1, hier.l2
@@ -75,30 +175,10 @@ def _load_cache(ks, hier) -> None:
     cfg[Cfg.C2_HIT12] = l1.hit_latency + l2.hit_latency
     cfg[Cfg.C_MISS_LAT] = l1.hit_latency + hier.memory_fill_latency
     cfg[Cfg.C_LINE_BYTES] = hier.line_bytes
-    for prefix, level, tick_slot in (("c1", l1, St.C1_TICK),
-                                     ("c2", l2, St.C2_TICK)):
-        sets, assoc = level.num_sets, level.assoc
-        if getattr(ks, prefix + "_tags").shape[0] != sets * assoc:
-            setattr(ks, prefix + "_tags", _arr(sets * assoc))
-            setattr(ks, prefix + "_dirty", _arr(sets * assoc))
-            setattr(ks, prefix + "_stamps", _arr(sets * assoc))
-            setattr(ks, prefix + "_count", _arr(sets))
-            setattr(ks, prefix + "_mru", _arr(sets))
-        tags = getattr(ks, prefix + "_tags")
-        dirty = getattr(ks, prefix + "_dirty")
-        stamps = getattr(ks, prefix + "_stamps")
-        count = getattr(ks, prefix + "_count")
-        mru = getattr(ks, prefix + "_mru")
-        for s, ways in enumerate(level._tags):
-            c = len(ways)
-            if c:
-                base = s * assoc
-                tags[base:base + c] = ways
-                dirty[base:base + c] = level._dirty[s]
-                stamps[base:base + c] = level._stamps[s]
-            count[s] = c
-        mru[:] = level._mru
-        st[tick_slot] = level._tick
+    for name in _MIRROR_ARRAYS:
+        setattr(ks, name, getattr(mirror, name))
+    st[St.C1_TICK] = l1._tick
+    st[St.C2_TICK] = l2._tick
     st[St.C1_HITS] = l1.stats.hits
     st[St.C1_MISSES] = l1.stats.misses
     st[St.C1_WB] = l1.stats.writebacks
@@ -109,25 +189,15 @@ def _load_cache(ks, hier) -> None:
 
 
 def _store_cache(ks, hier) -> None:
-    """Write the kernel's way arrays back into the cache-level lists."""
+    """Write the LRU ticks and per-level stats back to the levels.
+
+    The set contents stay in the mirror, which owns them until Python
+    code reads the lists (see :class:`CacheMirror`).
+    """
     st = ks.st
     l1, l2 = hier.l1, hier.l2
-    for prefix, level, tick_slot in (("c1", l1, St.C1_TICK),
-                                     ("c2", l2, St.C2_TICK)):
-        assoc = level.assoc
-        tags = getattr(ks, prefix + "_tags").tolist()
-        dirty = getattr(ks, prefix + "_dirty").tolist()
-        stamps = getattr(ks, prefix + "_stamps").tolist()
-        count = getattr(ks, prefix + "_count").tolist()
-        mru = getattr(ks, prefix + "_mru").tolist()
-        for s in range(level.num_sets):
-            c = count[s]
-            base = s * assoc
-            level._tags[s] = tags[base:base + c]
-            level._dirty[s] = [bool(d) for d in dirty[base:base + c]]
-            level._stamps[s] = stamps[base:base + c]
-        level._mru[:] = mru
-        level._tick = int(st[tick_slot])
+    l1._tick = int(st[St.C1_TICK])
+    l2._tick = int(st[St.C2_TICK])
     l1.stats.hits = int(st[St.C1_HITS])
     l1.stats.misses = int(st[St.C1_MISSES])
     l1.stats.writebacks = int(st[St.C1_WB])
@@ -267,7 +337,7 @@ def run_gated_kernel(engine, session, proc, smc) -> bool:
                 break
     st[St.HAS_CACHE] = 1 if has_cache else 0
     if has_cache:
-        _load_cache(ks, proc.hierarchy)
+        _load_cache(ks, proc.hierarchy, backend)
 
     run_block = backend.run_block
     finish_trace = backend.finish_trace

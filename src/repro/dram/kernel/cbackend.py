@@ -5,7 +5,10 @@ compiled backend is plain C: :func:`load` renders the layout
 ``#define`` header from :mod:`repro.dram.kernel.state`, prepends it to
 ``kernel.c``, and builds a shared object with ``cc -O2 -shared -fPIC``
 into a source-hash-keyed cache under ``_cache/`` (gitignored).  A warm
-cache makes load a single ``dlopen``.
+cache makes load a single ``dlopen``.  When the package's ``_cache/``
+cannot be created or written (a read-only install), the build goes to
+the per-user cache directory instead: ``$XDG_CACHE_HOME/repro/kernel``,
+else ``~/.cache/repro/kernel``.
 
 Concurrent cold loads (``repro run --jobs N``, CI shards, serve workers
 on a fresh checkout) are safe: the build holds an exclusive ``flock`` on
@@ -40,7 +43,7 @@ from repro.dram.kernel import state
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"
@@ -67,6 +70,11 @@ class CKernel:
         self.serve_batch = lib.repro_serve_batch
         self.run_block = lib.repro_run_block
         self.finish_trace = lib.repro_finish_trace
+        self.cache_flush = lib.repro_cache_flush
+        # The slot table's address as a plain int: the per-line CLFLUSH
+        # path skips ctypes' pointer-array conversion.
+        self.cache_flush.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+        self.cache_flush.restype = ctypes.c_int64
 
 
 def compiler() -> list[str] | None:
@@ -114,6 +122,22 @@ def load() -> tuple[CKernel | None, str]:
     return kernel, reason
 
 
+def _cache_dirs() -> tuple[Path, Path]:
+    """Where a build is looked for, in order: the package, then the user."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    return _CACHE_DIR, Path(base) / "repro" / "kernel"
+
+
+def _writable(directory: Path) -> bool:
+    """Create ``directory`` if needed; can this process write into it?"""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return False
+    return os.access(directory, os.W_OK)
+
+
 def _build(cmd: list[str], source: str, c_path: Path,
            so_path: Path) -> str | None:
     """Compile ``source`` into ``so_path`` unless another process did.
@@ -122,7 +146,6 @@ def _build(cmd: list[str], source: str, c_path: Path,
     key's lock file for the whole build and publishes both files with
     ``os.replace``, so a concurrent loader sees no object or a whole one.
     """
-    _CACHE_DIR.mkdir(parents=True, exist_ok=True)
     # The compiler picks the language by extension: keep it last.
     tmp = f".{os.getpid()}.tmp"
     tmp_c = c_path.with_name(c_path.stem + tmp + c_path.suffix)
@@ -160,16 +183,23 @@ def _load_uncached() -> tuple[CKernel | None, str]:
     version = compiler_version(cmd)
     key = hashlib.sha256(
         f"{version}\n{ABI_VERSION}\n{source}".encode()).hexdigest()[:16]
-    so_path = _CACHE_DIR / f"kernel-{key}.so"
+    name = f"kernel-{key}"
+    dirs = _cache_dirs()
+    so_path = next((d / f"{name}.so" for d in dirs
+                    if (d / f"{name}.so").exists()), None)
     build_seconds = 0.0
     built = False
-    if not so_path.exists():
+    if so_path is None:
         if cmd is None:
             return None, "no C compiler available (cc/gcc/clang)"
+        cache_dir = next((d for d in dirs if _writable(d)), None)
+        if cache_dir is None:
+            return _loud("kernel cache not writable (tried "
+                         + ", ".join(str(d) for d in dirs) + ")")
+        so_path = cache_dir / f"{name}.so"
         begin = time.perf_counter()
         try:
-            failure = _build(cmd, source, _CACHE_DIR / f"kernel-{key}.c",
-                             so_path)
+            failure = _build(cmd, source, cache_dir / f"{name}.c", so_path)
         except (OSError, subprocess.SubprocessError) as exc:
             failure = f"kernel compile failed: {exc}"
         if failure is not None:

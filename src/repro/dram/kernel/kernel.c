@@ -4,7 +4,7 @@
  * generated from repro.dram.kernel.state prepended, so the field
  * indices can never drift from the Python marshalling code.
  *
- * Three entry points, each taking the int64_t*[] slot table:
+ * Four entry points, each taking the int64_t*[] slot table:
  *
  *   repro_serve_batch  -- one critical-mode episode over a sorted
  *                         request batch (mirrors _make_service_fast /
@@ -15,6 +15,8 @@
  *                         in place (mirrors Processor._execute_burst_blocks
  *                         plus the EventEngine block-mode gate closure).
  *   repro_finish_trace -- the end-of-trace drain + final done-gate.
+ *   repro_cache_flush  -- CLFLUSH of one line in a resident cache mirror
+ *                         (CacheHierarchy.flush_line's two Cache.evict).
  *
  * Controller state lives in one slot table per channel.  The trace-level
  * state a resident replay owns -- processor counters, the pending and
@@ -1349,11 +1351,50 @@ static void filter_block(K *k)
     S(BLK_NWB) = nwb;
 }
 
+/* Cache.evict on one level: remove the way, shift the later ways down,
+ * forget the set's MRU slot.  Returns 0 (absent), 1 (clean), 3 (dirty). */
+static int64_t evict_line(int64_t *tags, int64_t *dirty, int64_t *stamps,
+                          int64_t *count, int64_t *mru, int64_t sets,
+                          int64_t assoc, int64_t line)
+{
+    int64_t s = line % sets, t = line / sets;
+    int64_t base = s * assoc, c = count[s];
+    for (int64_t w = 0; w < c; w++) {
+        if (tags[base + w] != t)
+            continue;
+        int64_t was_dirty = dirty[base + w];
+        size_t tail = (size_t)(c - w - 1) * sizeof(int64_t);
+        memmove(tags + base + w, tags + base + w + 1, tail);
+        memmove(dirty + base + w, dirty + base + w + 1, tail);
+        memmove(stamps + base + w, stamps + base + w + 1, tail);
+        count[s] = c - 1;
+        mru[s] = -1;
+        return was_dirty ? 3 : 1;
+    }
+    return 0;
+}
+
 /* -- entry points --------------------------------------------------------- */
 
 int64_t repro_abi_version(void)
 {
-    return 3;
+    return 4;
+}
+
+/* CLFLUSH one line address from both levels of a cache mirror: bits 0/1
+ * are L1 present/dirty, bits 2/3 the same for L2. */
+int64_t repro_cache_flush(int64_t **p, int64_t line)
+{
+    K kk;
+    K *k = &kk;
+    bind(k, p);
+    int64_t l1 = evict_line(k->c1_tags, k->c1_dirty, k->c1_stamps,
+                            k->c1_count, k->c1_mru, C(C1_SETS), C(C1_ASSOC),
+                            line);
+    int64_t l2 = evict_line(k->c2_tags, k->c2_dirty, k->c2_stamps,
+                            k->c2_count, k->c2_mru, C(C2_SETS), C(C2_ASSOC),
+                            line);
+    return l1 | (l2 << 2);
 }
 
 /* Bind the trace context from ``p`` and, for a multi-channel replay,

@@ -157,7 +157,9 @@ PTR_FIELDS = (
 
 #: Buffers grown per block replay (and per batch: the req_* and TBL),
 #: dropped after each trace by ``KernelState.release_trace_buffers``.
-#: Everything else in :data:`PTR_FIELDS` persists across calls.
+#: Everything else in :data:`PTR_FIELDS` persists across calls; the
+#: ``C1_*``/``C2_*`` slots point at the replayed hierarchy's own
+#: :class:`~repro.dram.kernel.blockrun.CacheMirror`.
 _TRACE_BUFFERS = (
     "req_tag", "req_addr", "req_flags", "req_core", "req_release",
     "req_service", "tbl",
@@ -167,8 +169,6 @@ _TRACE_BUFFERS = (
     "out_tag", "out_issue", "out_release", "out_rid",
     "heap", "latencies",
     "blk_addr",
-    "c1_tags", "c1_dirty", "c1_stamps", "c1_count", "c1_mru",
-    "c2_tags", "c2_dirty", "c2_stamps", "c2_count", "c2_mru",
     "chan_tables",
 )
 

@@ -69,13 +69,33 @@ class TestEquivalence:
         fast = run_snapshot(config, "event", MIX2)
         assert slow == fast
 
-    def test_materialization_is_pure_host_optimization(self, monkeypatch):
+    def test_materialization_is_pure_host_optimization(self):
+        """Replaying materialized blocks equals a freshly built trace.
+
+        ``run_mix`` replays each workload's :class:`MaterializedBlocks`
+        for the solo baselines and the shared run; rebuilding every
+        trace with ``mix.build`` instead must give the same snapshot.
+        """
         config = small_config()
-        monkeypatch.setenv("REPRO_MC_MATERIALIZE", "0")
-        regen = run_snapshot(config, "event", MIX2)
-        monkeypatch.setenv("REPRO_MC_MATERIALIZE", "1")
-        mat = run_snapshot(config, "event", MIX2)
-        assert regen == mat
+        solo_cycles = []
+        for core in range(MIX2.cores):
+            system = EasyDRAMSystem(config, engine="event")
+            session = system.session(f"{MIX2.names[core]}-solo",
+                                     engine="event")
+            session.run_cores([MIX2.build(core)])
+            solo_cycles.append(session.processor.cycles)
+        system = EasyDRAMSystem(config, engine="event")
+        session = system.session(MIX2.label(), engine="event")
+        session.cores[0].workload_name = MIX2.names[0]
+        for core in range(1, MIX2.cores):
+            session.add_core(MIX2.names[core])
+        session.solo_cycles = dict(enumerate(solo_cycles))
+        session.run_cores([MIX2.build(core) for core in range(MIX2.cores)])
+        fresh = dataclasses.asdict(session.finish())
+        fresh.pop("wall_seconds")
+        core_cycles = [c.processor.cycles for c in session.cores]
+        assert run_snapshot(config, "event", MIX2) == \
+            (fresh, core_cycles, solo_cycles)
 
     def test_deterministic_repeat(self):
         config = small_config()

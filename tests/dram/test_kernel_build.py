@@ -61,3 +61,25 @@ def test_load_failure_after_build_warns_with_reason(tmp_path):
     out, err = _spawn(cache).communicate(timeout=300)
     assert out.startswith("kernel load failed"), out
     assert "RuntimeWarning" in err and "kernel load failed" in err, err
+
+
+@needs_cc
+def test_read_only_package_cache_builds_into_the_user_cache(tmp_path):
+    """An unwritable package ``_cache/`` falls back to the user cache.
+
+    ``chmod`` does not stop root, so the package directory is placed
+    under a regular file, where it can never be created.
+    """
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory")
+    xdg = tmp_path / "xdg"
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(xdg))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", LOAD,
+         str(blocker / "_cache")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.stdout.strip() == "ok", (proc.stdout, proc.stderr)
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    built = xdg / "repro" / "kernel"
+    assert sorted(path.suffix for path in built.iterdir()) == \
+        [".c", ".lock", ".so"], sorted(built.iterdir())

@@ -344,3 +344,156 @@ def test_kernel_actually_engages():
         blockrun.run_gated_kernel = original
     assert engaged and all(engaged), \
         "block-replay kernel never engaged on the eligible config"
+
+
+# -- cache residency across traces -------------------------------------------
+
+#: The interleavings run on a small-cache system over the first few DRAM
+#: rows, so traces, CLFLUSH ranges and RowClone episodes keep hitting
+#: the same resident lines and evicting each other's.
+RESIDENT_ROWS = 6
+
+
+def _small_cache_config():
+    base = jetson_nano_time_scaling()
+    return jetson_nano_time_scaling(
+        l1=dataclasses.replace(base.l1, size_bytes=4 * 1024),
+        l2=dataclasses.replace(base.l2, size_bytes=32 * 1024))
+
+
+def _row_bytes() -> int:
+    return _small_cache_config().geometry.row_bytes
+
+
+def _resident_op():
+    lines = RESIDENT_ROWS * _row_bytes() // LINE
+    line = st.integers(min_value=0, max_value=lines - 1)
+    near = st.tuples(line.map(lambda n: n * LINE),
+                     st.sampled_from((0, FLAG_WRITE, FLAG_DEPENDENT)),
+                     st.integers(min_value=0, max_value=20))
+    row = st.integers(min_value=0, max_value=RESIDENT_ROWS - 1)
+    return st.one_of(
+        st.tuples(st.just("trace"), st.lists(near, min_size=1,
+                                             max_size=80)),
+        st.tuples(st.just("clflush"), line,
+                  st.integers(min_value=1, max_value=40)),
+        st.tuples(st.just("copy"), row, st.booleans()),
+        st.tuples(st.just("init"), row, st.booleans()),
+        st.tuples(st.just("probe"), line),
+    )
+
+
+def _cache_observables(hier) -> dict:
+    """Stats, then the materialized per-set state, of both levels."""
+    return {level.name: (dataclasses.asdict(level.stats), level._tags,
+                         level._dirty, level._stamps, level._mru,
+                         level._tick)
+            for level in (hier.l1, hier.l2)}
+
+
+def _run_interleaving(ops: list) -> dict:
+    """One session through ``ops``; every observable, step by step."""
+    from repro.core.techniques.rowclone import RowCloneTechnique
+
+    system = EasyDRAMSystem(_small_cache_config())
+    session = system.session("residency")
+    tech = RowCloneTechnique(session)
+    hier = session.hierarchy
+    row_bytes = _row_bytes()
+    steps = []
+    for op in ops:
+        kind = op[0]
+        if kind == "trace":
+            session.run_trace(_trace(op[1], len(op[1]) // 2))
+        elif kind == "clflush":
+            steps.append(session.clflush_range(op[1] * LINE, op[2] * LINE))
+        elif kind == "copy":
+            tech.execute_copy(tech.plan_copy(row_bytes, op[1] * row_bytes),
+                              clflush=op[2])
+        elif kind == "init":
+            tech.execute_init(tech.plan_init(row_bytes, op[1] * row_bytes),
+                              clflush=op[2], include_source_setup=False)
+        else:
+            steps.append((hier.l1.contains(op[1]), hier.l2.contains(op[1]),
+                          hier.l1.resident_lines(),
+                          hier.l2.resident_lines()))
+        # Stats are read between operations without touching the lists:
+        # a kernel that left them stale would show here.
+        steps.append([dataclasses.asdict(level.stats)
+                      for level in (hier.l1, hier.l2)])
+        steps.append(session.processor.cycles)
+    artifact = _observables(system, session)
+    artifact["steps"] = steps
+    artifact["cache"] = _cache_observables(hier)
+    artifact["rowclone"] = dataclasses.asdict(tech.stats)
+    return artifact
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(_resident_op(), min_size=2, max_size=8))
+def test_cache_residency_across_traces_identical(ops):
+    """Traces, CLFLUSH, RowClone episodes and direct cache probes interleave.
+
+    The kernel keeps the cache resident between traces and evicts in
+    place on CLFLUSH; the flat path keeps Python's per-set lists
+    throughout.  Every observable must agree, including the lists the
+    kernel leg materializes only when the probes and this check read
+    them.
+    """
+    artifacts = {}
+    for name, kernel in (("kernel", KERNEL_MODE), ("flat", "0")):
+        with serve_mode("1", kernel):
+            artifacts[name] = _run_interleaving(ops)
+    assert artifacts["kernel"] == artifacts["flat"]
+
+
+class _ScanCountingSets(list):
+    """A level's per-set list that counts full scans (iterations)."""
+
+    def __init__(self, sets) -> None:
+        super().__init__(sets)
+        self.scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_trace_after_trace_episode_or_clflush_skips_full_cache_load():
+    """Only the first replay copies the per-set lists into the kernel.
+
+    A trace that follows a trace, a RowClone episode or a CLFLUSH range
+    must find the cache still resident: no scan of the levels' per-set
+    lists, and no rebuilt lists in between.
+    """
+    if KERNEL_MODE != "c":
+        pytest.skip("no C compiler; block replay needs the compiled backend")
+    from repro.core.techniques.rowclone import RowCloneTechnique
+
+    row_bytes = _row_bytes()
+    stream = [(line * LINE, FLAG_WRITE if line % 3 else 0, 2)
+              for line in range(0, 2 * row_bytes // LINE, 3)]
+    with serve_mode("1", KERNEL_MODE):
+        system = EasyDRAMSystem(_small_cache_config())
+        session = system.session("residency-spy")
+        tech = RowCloneTechnique(session)
+        levels = (session.hierarchy.l1, session.hierarchy.l2)
+        spies = []
+        for level in levels:
+            spies.append(_ScanCountingSets(level._tags))
+            level._tags = spies[-1]
+        session.run_trace(_trace(stream, 40))
+        first = [spy.scans for spy in spies]
+        assert all(first), "the first replay did not load the cache"
+        session.run_trace(_trace(stream[::-1], 40))            # trace
+        tech.execute_copy(tech.plan_copy(row_bytes, 0))         # episode
+        session.run_trace(_trace(stream, 40))
+        session.clflush_range(0, row_bytes)                     # CLFLUSH
+        session.run_trace(_trace(stream, 40))
+        rebuilt = [level.__dict__.get("_tags", spy) is not spy
+                   for level, spy in zip(levels, spies)]
+        assert [spy.scans for spy in spies] == first, \
+            "a later replay re-copied the per-set lists"
+        assert not any(rebuilt), "the per-set lists were rebuilt between traces"
+    assert session.hierarchy.l1.stats.flushes > 0

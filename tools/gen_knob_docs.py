@@ -75,11 +75,6 @@ ENV_DOCS: dict[str, tuple[str, str]] = {
         "Stream prefetcher at every core boundary: `1` enables the"
         " defaults, `degree:distance` (e.g. `4:8`) tunes the window;"
         " prefetches are tagged and excluded from demand attribution."),
-    "REPRO_MC_MATERIALIZE": (
-        "on",
-        "`0` stops multi-core workload mixes from materializing each"
-        " workload's blocks once for reuse across the solo-baseline and"
-        " contended runs; results are identical either way."),
     "REPRO_RESULTS_DIR": (
         "`results/`",
         "Default `--out` directory for `repro run --format json|csv`."),
